@@ -16,8 +16,8 @@
 //! | [`RateBased`] | Last-sample strawman | [`rate`] |
 //!
 //! The optimization objective of Eq. (11) lives in [`objective`]; the
-//! generic shortest-path machinery (Dijkstra + DAG dynamic programming
-//! cross-check) lives in [`graph`].
+//! optimal planner solves it with one layered dynamic program over the
+//! Fig. 4 graph, without building the graph (see [`optimal`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +27,6 @@ pub mod bba;
 pub mod bola;
 pub mod deferral;
 pub mod festive;
-pub mod graph;
 pub mod instrument;
 pub mod mpc;
 pub mod objective;

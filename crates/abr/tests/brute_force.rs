@@ -1,8 +1,9 @@
-//! Exhaustive verification of the optimal planner: on instances small
-//! enough to enumerate every possible bitrate plan, the shortest-path
-//! solution must match the brute-force optimum exactly.
+//! Exhaustive verification of the optimal planner on the real models: on
+//! instances small enough to enumerate every possible bitrate plan, the
+//! layered-DP solution must match the brute-force optimum — its objective
+//! always, and its levels wherever the optimum is unique.
 
-use ecas_abr::{ObjectiveWeights, OptimalPlanner};
+use ecas_abr::{ObjectiveWeights, OptimalPlan, OptimalPlanner};
 use ecas_power::model::PowerModel;
 use ecas_power::task::TaskEnergyModel;
 use ecas_qoe::model::QoeModel;
@@ -12,15 +13,24 @@ use ecas_trace::synth::SessionGenerator;
 use ecas_types::ladder::{BitrateLadder, LevelIndex};
 use ecas_types::units::{Mbps, Seconds};
 
-/// Enumerates all `m^n` plans and returns the best objective.
+/// The exhaustive optimum of one instance.
+struct BruteForce {
+    cost: f64,
+    plan: Vec<LevelIndex>,
+    /// Whether every other plan costs more than `cost` by over 1e-9.
+    unique: bool,
+}
+
+/// Enumerates all `m^n` plans and returns the best one.
 fn brute_force_best(
     planner: &OptimalPlanner,
     session: &ecas_trace::session::SessionTrace,
     n: usize,
     m: usize,
-) -> (f64, Vec<LevelIndex>) {
+) -> BruteForce {
     let total = m.pow(n as u32);
     let mut best = f64::INFINITY;
+    let mut runner_up = f64::INFINITY;
     let mut best_plan = Vec::new();
     for code in 0..total {
         let mut c = code;
@@ -33,11 +43,32 @@ fn brute_force_best(
             .collect();
         let cost = planner.objective_of(session, &plan);
         if cost < best {
+            runner_up = best;
             best = cost;
             best_plan = plan;
+        } else if cost < runner_up {
+            runner_up = cost;
         }
     }
-    (best, best_plan)
+    BruteForce {
+        cost: best,
+        plan: best_plan,
+        unique: runner_up - best > 1e-9,
+    }
+}
+
+/// Asserts the planner's plan matches the brute-force optimum.
+fn assert_matches(plan: &OptimalPlan, bf: &BruteForce, what: &str) {
+    assert!(
+        (plan.objective - bf.cost).abs() < 1e-9,
+        "{what}: planner {} vs brute force {} (bf plan {:?})",
+        plan.objective,
+        bf.cost,
+        bf.plan
+    );
+    if bf.unique {
+        assert_eq!(plan.levels, bf.plan, "{what}: unique optimum");
+    }
 }
 
 fn small_ladder(m: usize) -> BitrateLadder {
@@ -77,13 +108,8 @@ fn shortest_path_matches_exhaustive_enumeration() {
         .generate();
         let planner = planner_for(small_ladder(4), 0.5);
         let plan = planner.plan(&session);
-        let (bf_cost, bf_plan) = brute_force_best(&planner, &session, 6, 4);
-        assert!(
-            (plan.objective - bf_cost).abs() < 1e-9,
-            "seed {seed} {ctx:?}: planner {} vs brute force {bf_cost} (bf plan {:?})",
-            plan.objective,
-            bf_plan
-        );
+        let bf = brute_force_best(&planner, &session, 6, 4);
+        assert_matches(&plan, &bf, &format!("seed {seed} {ctx:?}"));
     }
 }
 
@@ -99,12 +125,8 @@ fn shortest_path_matches_enumeration_across_eta() {
     for eta in [0.0, 0.2, 0.5, 0.8, 1.0] {
         let planner = planner_for(small_ladder(3), eta);
         let plan = planner.plan(&session);
-        let (bf_cost, _) = brute_force_best(&planner, &session, 5, 3);
-        assert!(
-            (plan.objective - bf_cost).abs() < 1e-9,
-            "eta {eta}: planner {} vs brute force {bf_cost}",
-            plan.objective
-        );
+        let bf = brute_force_best(&planner, &session, 5, 3);
+        assert_matches(&plan, &bf, &format!("eta {eta}"));
     }
 }
 
@@ -120,9 +142,10 @@ fn single_task_instance_picks_per_task_argmin() {
     let planner = planner_for(small_ladder(4), 0.5);
     let plan = planner.plan(&session);
     assert_eq!(plan.levels.len(), 1);
-    let (bf_cost, bf_plan) = brute_force_best(&planner, &session, 1, 4);
-    assert_eq!(plan.levels, bf_plan);
-    assert!((plan.objective - bf_cost).abs() < 1e-12);
+    let bf = brute_force_best(&planner, &session, 1, 4);
+    assert!(bf.unique);
+    assert_eq!(plan.levels, bf.plan);
+    assert!((plan.objective - bf.cost).abs() < 1e-12);
 }
 
 #[test]

@@ -19,9 +19,9 @@
 //!   policy serves unobserved cells straight from the recorded
 //!   references (never trusted — hash and key are revalidated on every
 //!   load, and a corrupt record degrades to a miss plus recompute).
-//! * [`diff`] compares two corpora record-by-record, field-by-field at
-//!   the replay oracle's 1e-9 tolerance and renders the divergence
-//!   table.
+//! * [`diff`] compares two corpora record-by-record, matched on
+//!   scenario identity (never on display labels), field-by-field at the
+//!   replay oracle's 1e-9 tolerance and renders the divergence table.
 //!
 //! # Examples
 //!
@@ -39,12 +39,14 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use ecas_obs::stable_hash;
 use ecas_sim::{FaultSpec, SessionResult};
 use ecas_trace::record::RECORD_EXTENSION;
 use serde::{Deserialize, Serialize};
@@ -72,6 +74,16 @@ pub enum CorpusError {
     Record(SessionRecordError),
     /// The index manifest was malformed.
     Index(String),
+    /// Two records of one corpus share a scenario identity, so a diff
+    /// could not tell which of them to compare.
+    Duplicate {
+        /// The shared scenario, as [`diff`] names it.
+        scenario: String,
+        /// The record seen first (in sorted file order).
+        first: PathBuf,
+        /// The record repeating it.
+        second: PathBuf,
+    },
 }
 
 impl fmt::Display for CorpusError {
@@ -80,6 +92,16 @@ impl fmt::Display for CorpusError {
             CorpusError::Io(e) => write!(f, "corpus i/o: {e}"),
             CorpusError::Record(e) => write!(f, "{e}"),
             CorpusError::Index(msg) => write!(f, "corpus index: {msg}"),
+            CorpusError::Duplicate {
+                scenario,
+                first,
+                second,
+            } => write!(
+                f,
+                "duplicate scenario {scenario}: {} and {}",
+                first.display(),
+                second.display()
+            ),
         }
     }
 }
@@ -89,7 +111,7 @@ impl std::error::Error for CorpusError {
         match self {
             CorpusError::Io(e) => Some(e),
             CorpusError::Record(e) => Some(e),
-            CorpusError::Index(_) => None,
+            CorpusError::Index(_) | CorpusError::Duplicate { .. } => None,
         }
     }
 }
@@ -349,26 +371,26 @@ pub fn verify(paths: &[PathBuf], options: &VerifyOptions) -> VerifySummary {
 #[derive(Debug, Clone, PartialEq, Eq)]
 // ecas-lint: allow(pub-surface, reason = "returned by corpus::diff; the session bin consumes it structurally")
 pub struct CorpusDiff {
-    /// Labels present in both corpora whose references agree at the
+    /// Scenarios present in both corpora whose references agree at the
     /// oracle tolerance.
     pub matched: usize,
-    /// Labels present in both corpora whose references diverge.
+    /// Scenarios present in both corpora whose references diverge.
     pub diverged: usize,
-    /// Labels only in the first corpus.
+    /// Scenarios only in the first corpus.
     pub only_a: usize,
-    /// Labels only in the second corpus.
+    /// Scenarios only in the second corpus.
     pub only_b: usize,
     lines: Vec<String>,
 }
 
 impl CorpusDiff {
-    /// Whether every shared label matched and neither side had extras.
+    /// Whether every shared scenario matched and neither side had extras.
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.diverged == 0 && self.only_a == 0 && self.only_b == 0
     }
 
-    /// Renders the divergence table: one row per label in sorted label
+    /// Renders the divergence table: one row per scenario in sorted
     /// order (`match` / `diverge` / `only-a` / `only-b`), divergence
     /// details indented under their row, then the
     /// `matched=… diverged=… only_a=… only_b=…` footer.
@@ -387,27 +409,56 @@ impl CorpusDiff {
     }
 }
 
-/// Loads every record of a corpus into a label-keyed map of reference
-/// results.
-fn load_references(dir: &Path) -> Result<BTreeMap<String, SessionResult>, CorpusError> {
-    let mut map = BTreeMap::new();
+/// A corpus's reference results keyed by scenario identity. The key's
+/// second half is the identity proper: the stable hash of the record's
+/// scenario header without `crate_version`, so η, the fault spec and the
+/// trace recipe all count. Its first half, the display name, only
+/// orders rows for humans.
+type References = BTreeMap<(String, u64), (PathBuf, SessionResult)>;
+
+/// Loads every record of a corpus, keyed by scenario identity.
+///
+/// # Errors
+///
+/// Returns [`CorpusError::Duplicate`] when two records share an identity
+/// (e.g. the same scenario recorded by two crate versions): keeping
+/// either would silently hide the other.
+fn load_references(dir: &Path) -> Result<References, CorpusError> {
+    let mut map = References::new();
     for path in list(dir)? {
         let record = SessionRecord::load(&path)?;
-        map.insert(record.scenario.label(), record.reference);
+        let scenario = &record.scenario;
+        let name = format!("{} eta={}", scenario.label(), scenario.eta);
+        let id = stable_hash(scenario);
+        match map.entry((name, id)) {
+            Entry::Vacant(slot) => {
+                slot.insert((path, record.reference));
+            }
+            Entry::Occupied(slot) => {
+                let ((name, id), (first, _)) = slot.remove_entry();
+                return Err(CorpusError::Duplicate {
+                    scenario: format!("{name} id={id:016x}"),
+                    first,
+                    second: path,
+                });
+            }
+        }
     }
     Ok(map)
 }
 
-/// Compares two corpora by scenario label: records present in both are
-/// diffed field-by-field at the replay oracle's 1e-9 tolerance (the
-/// exact comparison `session verify` uses), unmatched labels are
-/// reported per side. Rows come out in sorted label order, so the
+/// Compares two corpora by scenario identity (see [`References`]):
+/// records present in both are diffed field-by-field at the replay
+/// oracle's 1e-9 tolerance (the exact comparison `session verify` uses),
+/// unmatched scenarios are reported per side. Rows name each scenario as
+/// `<label> eta=<η> id=<identity>` and come out in sorted order, so the
 /// rendered table is deterministic.
 ///
 /// # Errors
 ///
-/// Returns [`CorpusError`] when either directory cannot be scanned or a
-/// record cannot be parsed — a diff over unreadable inputs would be
+/// Returns [`CorpusError`] when either directory cannot be scanned, a
+/// record cannot be parsed, or one corpus holds two records of the same
+/// scenario — a diff over ambiguous or unreadable inputs would be
 /// meaningless, so unlike [`verify`] this does not degrade.
 pub fn diff(a: &Path, b: &Path) -> Result<CorpusDiff, CorpusError> {
     let refs_a = load_references(a)?;
@@ -419,32 +470,41 @@ pub fn diff(a: &Path, b: &Path) -> Result<CorpusDiff, CorpusError> {
         only_b: 0,
         lines: Vec::new(),
     };
-    for (label, reference) in &refs_a {
-        match refs_b.remove(label) {
-            Some(other) => match oracle::diff_results(reference, &other) {
+    for (key, (_, reference)) in &refs_a {
+        let row = row_name(key);
+        match refs_b.remove(key) {
+            Some((_, other)) => match oracle::diff_results(reference, &other) {
                 ReplayVerdict::Fail { divergences } => {
                     diff.diverged += 1;
-                    diff.lines.push(format!("diverge  {label}"));
+                    diff.lines.push(format!("diverge  {row}"));
                     for d in divergences {
-                        diff.lines.push(format!("         {d}"));
+                        diff.lines.push(format!(
+                            "         {}: a {} vs b {} ({})",
+                            d.field, d.reference, d.replayed, d.detail
+                        ));
                     }
                 }
                 _ => {
                     diff.matched += 1;
-                    diff.lines.push(format!("match    {label}"));
+                    diff.lines.push(format!("match    {row}"));
                 }
             },
             None => {
                 diff.only_a += 1;
-                diff.lines.push(format!("only-a   {label}"));
+                diff.lines.push(format!("only-a   {row}"));
             }
         }
     }
-    for label in refs_b.keys() {
+    for key in refs_b.keys() {
         diff.only_b += 1;
-        diff.lines.push(format!("only-b   {label}"));
+        diff.lines.push(format!("only-b   {}", row_name(key)));
     }
     Ok(diff)
+}
+
+/// A diff row's scenario name: display name plus identity.
+fn row_name((name, id): &(String, u64)) -> String {
+    format!("{name} id={id:016x}")
 }
 
 /// The scenarios of one fleet slice: every user of a

@@ -19,7 +19,7 @@ fn table_v_replays_and_respects_the_optimal_bound() {
     let oracle = Oracle::new(runner.simulator(), runner.eta());
     for spec in &EvalTraceSpec::table_v() {
         let session = spec.generate();
-        // One Dijkstra per session, shared across all ten approaches.
+        // One Eq. (11) solve per session, shared across all ten approaches.
         let optimal = oracle.optimal_objective(&session);
         for approach in Approach::all() {
             let (result, log) = runner.run_with_probe(&session, &approach, &NULL_PROBE);

@@ -356,7 +356,7 @@ ecas-sim = ["ecas-trace", "ecas-net"]
 ecas-core = ["ecas-sim"]
 
 [hot-paths]
-functions = ["ecas-sim::player::run_inner", "ecas-abr::graph::dijkstra*"]
+functions = ["ecas-sim::player::run_inner", "ecas-abr::optimal::solve_layers"]
 
 [obs-names]
 registry = "crates/obs/src/names.rs"

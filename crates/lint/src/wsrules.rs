@@ -648,12 +648,12 @@ mod tests {
             "ecas-sim::player::run_inner"
         ));
         assert!(hot_path_matches(
-            "ecas-abr::graph::dijkstra*",
-            "ecas-abr::graph::dijkstra_with_stats"
+            "ecas-abr::optimal::solve*",
+            "ecas-abr::optimal::solve_layers"
         ));
         assert!(!hot_path_matches(
-            "ecas-abr::graph::dijkstra*",
-            "ecas-abr::graph::reconstruct"
+            "ecas-abr::optimal::solve*",
+            "ecas-abr::optimal::cost_table"
         ));
     }
 }

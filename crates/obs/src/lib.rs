@@ -41,8 +41,8 @@
 //!
 //! Counters double as deterministic *work measures* for the hot paths —
 //! `sim/integration_chunks` for the radio integration kernel,
-//! `abr/labels_expanded` / `abr/labels_pruned` / `abr/edges_relaxed` for
-//! the Eq. (11) shortest-path solver — so performance cost is observable
+//! `abr/labels_expanded` / `abr/edges_relaxed` (states and transitions)
+//! for the Eq. (11) optimal solver — so performance cost is observable
 //! and comparable across hosts without timing anything (see [`perf`] for
 //! the wall-clock side).
 //!

@@ -134,12 +134,16 @@ pub const SIM_DOWNLOAD_SPAN: &str = "sim/download";
 
 // ------------------------------------------------------------ abr solver
 
-/// A Dijkstra label settled (heap pop expanded) by the Eq. (11)
-/// shortest-path optimal solver (`ecas-abr`'s `graph` module).
+/// A (task, level) state solved by the Eq. (11) optimal planner's
+/// layered dynamic program (`ecas-abr`'s `optimal` module): n·m per plan
+/// for n tasks and m ladder levels.
 pub const ABR_LABELS_EXPANDED: &str = "abr/labels_expanded";
-/// A stale Dijkstra heap entry skipped without expansion.
+/// Retired: counted stale Dijkstra heap entries, and the layered dynamic
+/// program has none, so it stays 0 (the planner no longer emits it).
+/// Kept because the `perfbench` per-layer report still reads it.
 pub const ABR_LABELS_PRUNED: &str = "abr/labels_pruned";
-/// An edge relaxation that improved a tentative distance.
+/// A transition cost evaluated by the layered dynamic program: m into
+/// the first task, then m² per later task, so m + (n−1)·m² per plan.
 pub const ABR_EDGES_RELAXED: &str = "abr/edges_relaxed";
 
 // ----------------------------------------------------------- power model

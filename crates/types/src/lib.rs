@@ -35,7 +35,6 @@ pub mod ladder;
 pub mod units;
 
 pub use error::UnitError;
-pub use float::TotalF64;
 pub use ids::{SegmentIndex, TaskId};
 pub use ladder::{BitrateLadder, LadderEntry, LevelIndex, Resolution};
 pub use units::{Dbm, Joules, Mbps, MegaBytes, MetersPerSec2, QoeScore, Seconds, Watts};

@@ -10,8 +10,10 @@
 #      alone would silently pass over a deleted or extra fixture);
 #   2. every committed record replays through the oracle and matches its
 #      stored reference (`session verify`, failures=0);
-#   3. one fixture re-recorded from its own scenario header is
-#      byte-identical to the committed .ecasr;
+#   3. every fixture re-recorded from its own scenario header is
+#      byte-identical to the committed .ecasr (`session verify` replays
+#      the stored event log without re-planning, so only a re-record
+#      catches a simulator or solver change that alters a session);
 #   4. the rendered report and manifest of every fixture match the
 #      committed report.txt / manifest.json.
 set -euo pipefail
@@ -65,11 +67,13 @@ done < <(fixtures)
 echo "== golden: replay every committed record =="
 "$SESSION" verify golden/*/record.ecasr
 
-echo "== golden: re-record tablev1-ours byte-for-byte =="
+echo "== golden: re-record every fixture byte-for-byte =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-"$SESSION" rerecord golden/tablev1-ours/record.ecasr "$tmp/rerecord.ecasr"
-cmp golden/tablev1-ours/record.ecasr "$tmp/rerecord.ecasr"
+while IFS='|' read -r name _; do
+    "$SESSION" rerecord "golden/$name/record.ecasr" "$tmp/$name.ecasr" >/dev/null
+    cmp "golden/$name/record.ecasr" "$tmp/$name.ecasr"
+done < <(fixtures)
 
 echo "== golden: rendered artifacts match committed =="
 while IFS='|' read -r name _; do
