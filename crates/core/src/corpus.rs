@@ -52,6 +52,7 @@ use ecas_trace::record::RECORD_EXTENSION;
 use serde::{Deserialize, Serialize};
 
 use crate::approach::Approach;
+use crate::atomic::atomic_write;
 use crate::oracle::{self, ReplayVerdict};
 use crate::pool;
 use crate::record::{RecordScenario, RecordedSession, SessionRecord, SessionRecordError};
@@ -224,7 +225,7 @@ pub fn batch_record(
         for item in recorded {
             let (record, bytes) = item?;
             let key = record_cell_key(&record);
-            fs::write(record_path(dir, &key), &bytes)?;
+            atomic_write(&record_path(dir, &key), &bytes)?;
             entries.push(CorpusEntry {
                 key,
                 label: record.scenario.label(),
@@ -241,7 +242,7 @@ pub fn batch_record(
     };
     let json = serde_json::to_string_pretty(&index)
         .map_err(|e| CorpusError::Index(e.to_string()))?;
-    fs::write(dir.join(INDEX_FILE), json + "\n")?;
+    atomic_write(&dir.join(INDEX_FILE), (json + "\n").as_bytes())?;
     Ok(index)
 }
 
@@ -589,6 +590,8 @@ mod tests {
         let again = batch_record(&dir, &small_fleet(), &CorpusOptions { jobs: 2, batch: 2 })
             .unwrap();
         assert_eq!(again, index);
+        // Only the records and the index are published; no temp files.
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 3 + 1);
         fs::remove_dir_all(&dir).ok();
     }
 

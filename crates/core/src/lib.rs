@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod approach;
+mod atomic;
 pub mod corpus;
 pub mod fleet;
 pub mod metrics;

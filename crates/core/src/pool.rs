@@ -4,13 +4,14 @@
 //! executor in this crate — the sweep grid, the fleet batches riding on
 //! it, and the record-corpus subsystem (batch recording and parallel
 //! corpus verification) — schedules work the same way: a next-index
-//! counter hands items to workers as they free up, and each result
-//! lands in its preassigned slot, so the output order always matches a
-//! sequential run regardless of completion order. That order stability
+//! counter hands items to workers as they free up, each worker hands
+//! back its `(index, result)` pairs when it joins, and the pairs are
+//! sorted by index, so the output order always matches a sequential run
+//! regardless of completion order. That order stability
 //! is what the workspace's byte-identity guarantees (sweep results,
 //! fleet reports, corpus verify summaries) are built on.
 
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolves a requested worker count: `0` means one worker per
 /// available core, and the result never exceeds the item count.
@@ -29,7 +30,7 @@ pub(crate) fn resolve_workers(requested: usize, items: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics.
+/// Re-raises the panic of a worker thread on the caller's thread.
 pub(crate) fn run_ordered<T, R, F>(items: &[T], requested: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -43,38 +44,30 @@ where
     if workers <= 1 {
         return items.iter().map(&f).collect();
     }
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
-    let next: Mutex<usize> = Mutex::new(0);
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let idx = {
-                    let mut guard = next.lock();
-                    let idx = *guard;
-                    if idx >= items.len() {
-                        return;
-                    }
-                    *guard += 1;
-                    idx
-                };
-                let Some(item) = items.get(idx) else {
-                    return;
-                };
-                let result = f(item);
-                if let Some(slot) = results.lock().get_mut(idx) {
-                    *slot = Some(result);
-                }
-            });
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(idx) else {
+                return done;
+            };
+            done.push((idx, f(item)));
         }
-    })
-    // ecas-lint: allow(panic-safety, reason = "a worker panic must propagate to the caller, not be swallowed into a partial result set")
-    .expect("pool worker panicked");
-    results
-        .into_inner()
-        .into_iter()
-        // ecas-lint: allow(panic-safety, reason = "the job queue assigns every slot index exactly once; an empty slot is a scheduler bug worth crashing on")
-        .map(|r| r.expect("every pool job filled its slot"))
-        .collect()
+    };
+    let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        let mut all = Vec::with_capacity(items.len());
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => all.extend(done),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        all
+    });
+    indexed.sort_unstable_by_key(|&(idx, _)| idx);
+    indexed.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
@@ -90,6 +83,23 @@ mod tests {
             assert_eq!(got, expected, "requested={requested}");
         }
         assert!(run_ordered(&[] as &[u64], 4, |v| *v).is_empty());
+    }
+
+    #[test]
+    fn worker_panic_reaches_the_caller() {
+        let items: Vec<u64> = (0..16).collect();
+        let caught = std::panic::catch_unwind(|| {
+            run_ordered(&items, 2, |v| {
+                assert_ne!(*v, 11, "item eleven");
+                *v
+            })
+        });
+        let payload = caught.expect_err("the worker panic must propagate");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or("");
+        assert!(msg.contains("item eleven"), "payload: {msg:?}");
     }
 
     #[test]

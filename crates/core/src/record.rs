@@ -62,6 +62,7 @@ use ecas_types::units::Seconds;
 use serde::{Deserialize, Serialize};
 
 use crate::approach::Approach;
+use crate::atomic::atomic_write;
 use crate::oracle::{Oracle, ReplayError, ReplayVerdict};
 use crate::runner::ExperimentRunner;
 
@@ -461,7 +462,8 @@ impl SessionRecord {
     /// failure.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), SessionRecordError> {
         let bytes = self.to_bytes()?;
-        fs::write(path, bytes).map_err(|e| SessionRecordError::Codec(RecordError::Io(e)))
+        atomic_write(path.as_ref(), &bytes)
+            .map_err(|e| SessionRecordError::Codec(RecordError::Io(e)))
     }
 
     /// Reads a record from `path`.

@@ -28,8 +28,7 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use ecas_obs::{names, perf, stable_hash, JsonlRecorder, MetricsRegistry};
 use ecas_sim::controller::FixedLevel;
@@ -39,10 +38,10 @@ use ecas_sim::FaultSpec;
 use ecas_trace::session::SessionTrace;
 use ecas_types::ladder::LevelIndex;
 use ecas_types::units::{Joules, Seconds};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::approach::Approach;
+use crate::atomic::atomic_write;
 use crate::metrics::{ComparisonSummary, TraceComparison};
 use crate::pool;
 use crate::record::SessionRecord;
@@ -296,7 +295,7 @@ impl SweepEngine {
     /// Cache activity accumulated so far.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock()
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Runs every `(session, approach)` pair under `policy`, returning
@@ -669,14 +668,9 @@ impl SweepEngine {
         Lookup::Record(Box::new(record.reference))
     }
 
-    /// Writes an entry via a temp file + rename so a concurrent reader
-    /// never sees a half-written entry (it sees the old one or none).
-    ///
-    /// The temp name embeds the process id and a process-wide counter:
-    /// two writers racing on the same key (same process or two processes
-    /// sharing a `--cache-dir`) each write their own temp file, and the
-    /// final `rename` is atomic, so the published entry is always one
-    /// writer's complete bytes — never an interleaving.
+    /// Writes an entry through [`atomic_write`], so a concurrent reader
+    /// never sees a half-written entry (it sees the old one or none) and
+    /// writers racing on one key publish one complete entry.
     fn store(
         &self,
         dir: &Path,
@@ -704,14 +698,7 @@ impl SweepEngine {
             text.push_str(&to_json(&probe.to_string())?);
             text.push('\n');
         }
-        static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-        let tmp = dir.join(format!(
-            "{key}.{}.{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, entry_path(dir, key))
+        atomic_write(&entry_path(dir, key), text.as_bytes())
     }
 
     // ---------------------------------------------------------------- //
@@ -719,14 +706,14 @@ impl SweepEngine {
     // ---------------------------------------------------------------- //
 
     fn note_hit(&self) {
-        self.stats.lock().hits += 1;
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner).hits += 1;
         self.bump(names::SWEEP_CACHE_HIT);
     }
 
     /// A hit served from a recorded reference counts as a regular hit
     /// too, so `all_hits()` keeps meaning "zero simulator runs".
     fn note_record_hit(&self) {
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         stats.hits += 1;
         stats.from_record += 1;
         drop(stats);
@@ -735,17 +722,17 @@ impl SweepEngine {
     }
 
     fn note_miss(&self) {
-        self.stats.lock().misses += 1;
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner).misses += 1;
         self.bump(names::SWEEP_CACHE_MISS);
     }
 
     fn note_corrupt(&self) {
-        self.stats.lock().corrupt += 1;
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner).corrupt += 1;
         self.bump(names::SWEEP_CACHE_CORRUPT);
     }
 
     fn note_write_error(&self) {
-        self.stats.lock().write_errors += 1;
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner).write_errors += 1;
         self.bump(names::SWEEP_CACHE_WRITE_ERROR);
     }
 
@@ -966,13 +953,13 @@ mod tests {
             engine.load(&dir, &key, &job, false),
             Lookup::Hit(_)
         ));
-        // … and every temp file was consumed by its own rename.
-        let litter: Vec<_> = fs::read_dir(&dir)
+        // … and every temp file was consumed by its own rename: the one
+        // published entry is all that is left, no `*.tmp` file.
+        let files: Vec<_> = fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|e| e == "tmp"))
             .collect();
-        assert!(litter.is_empty(), "temp litter left behind: {litter:?}");
+        assert_eq!(files, [entry_path(&dir, &key)], "temp litter left behind");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -23,9 +23,9 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ecas_types::units::{Dbm, Mbps, MegaBytes, MetersPerSec2, Seconds, Watts};
 
+use crate::record::wire::Reader;
 use crate::sample::{AccelSample, NetworkSample, PowerSample, SignalSample};
 use crate::series::{TimeSeries, Timestamped};
 use crate::session::{SessionTrace, TraceMeta};
@@ -356,110 +356,127 @@ where
     TimeSeries::new(samples).map_err(|e| TraceIoError::Corrupt(e.to_string()))
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn get_string(buf: &mut Bytes) -> Result<String, TraceIoError> {
-    if buf.remaining() < 4 {
-        return Err(TraceIoError::Corrupt("truncated string length".into()));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(TraceIoError::Corrupt("truncated string payload".into()));
-    }
-    let raw = buf.copy_to_bytes(len);
+fn put_string(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Reads `N` bytes; on short input the error names `what` was truncated.
+fn get_array<const N: usize>(
+    r: &mut Reader<'_>,
+    what: &'static str,
+) -> Result<[u8; N], TraceIoError> {
+    r.array(what)
+        .map_err(|_| TraceIoError::Corrupt(format!("truncated {what}")))
+}
+
+fn get_f64(r: &mut Reader<'_>, what: &'static str) -> Result<f64, TraceIoError> {
+    get_array(r, what).map(f64::from_le_bytes)
+}
+
+fn get_string(r: &mut Reader<'_>) -> Result<String, TraceIoError> {
+    let len = u32::from_le_bytes(get_array(r, "string length")?) as usize;
+    let raw = r
+        .take(len, "string payload")
+        .map_err(|_| TraceIoError::Corrupt("truncated string payload".into()))?;
     String::from_utf8(raw.to_vec())
         .map_err(|e| TraceIoError::Corrupt(format!("invalid utf-8 string: {e}")))
 }
 
-fn get_f64(buf: &mut Bytes, what: &str) -> Result<f64, TraceIoError> {
-    if buf.remaining() < 8 {
-        return Err(TraceIoError::Corrupt(format!("truncated {what}")));
+/// Reads one channel: a `u32` sample count, then that many fixed-size
+/// samples. The count is checked against the bytes left before anything
+/// is allocated, so a hostile count is corrupt framing, not an OOM.
+fn get_channel<S>(
+    r: &mut Reader<'_>,
+    what: &'static str,
+    sample_len: usize,
+    mut sample: impl FnMut(&mut Reader<'_>) -> Result<S, TraceIoError>,
+) -> Result<Vec<S>, TraceIoError> {
+    let n = u32::from_le_bytes(get_array(r, what)?) as usize;
+    if n > r.remaining() / sample_len {
+        return Err(TraceIoError::Corrupt(format!(
+            "{what} {n} exceeds what {} remaining bytes could hold",
+            r.remaining()
+        )));
     }
-    Ok(buf.get_f64_le())
+    (0..n).map(|_| sample(r)).collect()
 }
 
-fn encode_binary(session: &SessionTrace) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(BINARY_MAGIC);
-    buf.put_u8(BINARY_VERSION);
+fn corrupt(e: impl fmt::Display) -> TraceIoError {
+    TraceIoError::Corrupt(e.to_string())
+}
+
+fn encode_binary(session: &SessionTrace) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(BINARY_MAGIC);
+    out.push(BINARY_VERSION);
 
     let meta = session.meta();
-    put_string(&mut buf, &meta.name);
-    buf.put_f64_le(meta.video_length.value());
-    buf.put_f64_le(meta.data_size.value());
-    buf.put_f64_le(meta.avg_vibration.value());
-    put_string(&mut buf, &meta.description);
+    put_string(&mut out, &meta.name);
+    put_f64(&mut out, meta.video_length.value());
+    put_f64(&mut out, meta.data_size.value());
+    put_f64(&mut out, meta.avg_vibration.value());
+    put_string(&mut out, &meta.description);
     match meta.seed {
         Some(seed) => {
-            buf.put_u8(1);
-            buf.put_u64_le(seed);
+            out.push(1);
+            out.extend_from_slice(&seed.to_le_bytes());
         }
-        None => buf.put_u8(0),
+        None => out.push(0),
     }
 
-    buf.put_u32_le(session.network().len() as u32);
+    out.extend_from_slice(&(session.network().len() as u32).to_le_bytes());
     for s in session.network().iter() {
-        buf.put_f64_le(s.time.value());
-        buf.put_f64_le(s.throughput.value());
+        put_f64(&mut out, s.time.value());
+        put_f64(&mut out, s.throughput.value());
     }
-    buf.put_u32_le(session.signal().len() as u32);
+    out.extend_from_slice(&(session.signal().len() as u32).to_le_bytes());
     for s in session.signal().iter() {
-        buf.put_f64_le(s.time.value());
-        buf.put_f64_le(s.dbm.value());
+        put_f64(&mut out, s.time.value());
+        put_f64(&mut out, s.dbm.value());
     }
-    buf.put_u32_le(session.accel().len() as u32);
+    out.extend_from_slice(&(session.accel().len() as u32).to_le_bytes());
     for s in session.accel().iter() {
-        buf.put_f64_le(s.time.value());
-        buf.put_f64_le(s.x);
-        buf.put_f64_le(s.y);
-        buf.put_f64_le(s.z);
+        put_f64(&mut out, s.time.value());
+        put_f64(&mut out, s.x);
+        put_f64(&mut out, s.y);
+        put_f64(&mut out, s.z);
     }
-
-    buf.freeze()
+    out
 }
 
 fn decode_binary(data: &[u8]) -> Result<SessionTrace, TraceIoError> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < 5 {
+    if data.len() < 5 {
         return Err(TraceIoError::Corrupt("payload shorter than header".into()));
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
+    let mut r = Reader::new(data);
+    let magic: [u8; 4] = get_array(&mut r, "magic")?;
     if &magic != BINARY_MAGIC {
         return Err(TraceIoError::Corrupt(format!(
             "bad magic {magic:?}, want {BINARY_MAGIC:?}"
         )));
     }
-    let version = buf.get_u8();
+    let [version] = get_array(&mut r, "version")?;
     if version != BINARY_VERSION {
         return Err(TraceIoError::Corrupt(format!(
             "unsupported version {version}, want {BINARY_VERSION}"
         )));
     }
 
-    let name = get_string(&mut buf)?;
-    let video_length = Seconds::try_new(get_f64(&mut buf, "video length")?)
-        .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-    let data_size = MegaBytes::try_new(get_f64(&mut buf, "data size")?)
-        .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-    let avg_vibration = MetersPerSec2::try_new(get_f64(&mut buf, "avg vibration")?)
-        .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-    let description = get_string(&mut buf)?;
-    if buf.remaining() < 1 {
-        return Err(TraceIoError::Corrupt("truncated seed flag".into()));
-    }
-    let seed = match buf.get_u8() {
-        0 => None,
-        1 => {
-            if buf.remaining() < 8 {
-                return Err(TraceIoError::Corrupt("truncated seed".into()));
-            }
-            Some(buf.get_u64_le())
-        }
-        other => return Err(TraceIoError::Corrupt(format!("invalid seed flag {other}"))),
+    let name = get_string(&mut r)?;
+    let video_length = Seconds::try_new(get_f64(&mut r, "video length")?).map_err(corrupt)?;
+    let data_size = MegaBytes::try_new(get_f64(&mut r, "data size")?).map_err(corrupt)?;
+    let avg_vibration =
+        MetersPerSec2::try_new(get_f64(&mut r, "avg vibration")?).map_err(corrupt)?;
+    let description = get_string(&mut r)?;
+    let seed = match get_array(&mut r, "seed flag")? {
+        [0] => None,
+        [1] => Some(u64::from_le_bytes(get_array(&mut r, "seed")?)),
+        [other] => return Err(TraceIoError::Corrupt(format!("invalid seed flag {other}"))),
     };
 
     let meta = TraceMeta {
@@ -471,53 +488,37 @@ fn decode_binary(data: &[u8]) -> Result<SessionTrace, TraceIoError> {
         seed,
     };
 
-    fn get_count(buf: &mut Bytes, what: &str) -> Result<usize, TraceIoError> {
-        if buf.remaining() < 4 {
-            return Err(TraceIoError::Corrupt(format!("truncated {what} count")));
-        }
-        Ok(buf.get_u32_le() as usize)
-    }
-
-    let n = get_count(&mut buf, "network")?;
-    let mut network = Vec::with_capacity(n);
-    for _ in 0..n {
-        let t = Seconds::try_new(get_f64(&mut buf, "network time")?)
-            .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-        let thr = Mbps::try_new(get_f64(&mut buf, "throughput")?)
-            .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-        network.push(NetworkSample::new(t, thr));
-    }
-
-    let n = get_count(&mut buf, "signal")?;
-    let mut signal = Vec::with_capacity(n);
-    for _ in 0..n {
-        let t = Seconds::try_new(get_f64(&mut buf, "signal time")?)
-            .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-        let dbm = Dbm::try_new(get_f64(&mut buf, "signal dbm")?)
-            .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-        signal.push(SignalSample::new(t, dbm));
-    }
-
-    let n = get_count(&mut buf, "accel")?;
-    let mut accel = Vec::with_capacity(n);
-    for _ in 0..n {
-        let t = Seconds::try_new(get_f64(&mut buf, "accel time")?)
-            .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-        let x = get_f64(&mut buf, "accel x")?;
-        let y = get_f64(&mut buf, "accel y")?;
-        let z = get_f64(&mut buf, "accel z")?;
+    let network = get_channel(&mut r, "network count", 16, |r| {
+        let t = Seconds::try_new(get_f64(r, "network time")?).map_err(corrupt)?;
+        let thr = Mbps::try_new(get_f64(r, "throughput")?).map_err(corrupt)?;
+        Ok(NetworkSample::new(t, thr))
+    })?;
+    let signal = get_channel(&mut r, "signal count", 16, |r| {
+        let t = Seconds::try_new(get_f64(r, "signal time")?).map_err(corrupt)?;
+        let dbm = Dbm::try_new(get_f64(r, "signal dbm")?).map_err(corrupt)?;
+        Ok(SignalSample::new(t, dbm))
+    })?;
+    let accel = get_channel(&mut r, "accel count", 32, |r| {
+        let t = Seconds::try_new(get_f64(r, "accel time")?).map_err(corrupt)?;
+        let x = get_f64(r, "accel x")?;
+        let y = get_f64(r, "accel y")?;
+        let z = get_f64(r, "accel z")?;
         if x.is_nan() || y.is_nan() || z.is_nan() {
             return Err(TraceIoError::Corrupt("NaN accelerometer axis".into()));
         }
-        accel.push(AccelSample::new(t, x, y, z));
+        Ok(AccelSample::new(t, x, y, z))
+    })?;
+    if !r.is_empty() {
+        return Err(TraceIoError::Corrupt(format!(
+            "{} trailing bytes after the accel channel",
+            r.remaining()
+        )));
     }
 
-    let network = TimeSeries::new(network).map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-    let signal = TimeSeries::new(signal).map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-    let accel = TimeSeries::new(accel).map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-
-    SessionTrace::new(meta, network, signal, accel)
-        .map_err(|e| TraceIoError::Corrupt(e.to_string()))
+    let network = TimeSeries::new(network).map_err(corrupt)?;
+    let signal = TimeSeries::new(signal).map_err(corrupt)?;
+    let accel = TimeSeries::new(accel).map_err(corrupt)?;
+    SessionTrace::new(meta, network, signal, accel).map_err(corrupt)
 }
 
 #[cfg(test)]
@@ -649,6 +650,48 @@ mod tests {
                 "prefix of {cut} bytes decoded successfully"
             );
         }
+    }
+
+    #[test]
+    fn binary_format_is_pinned() {
+        // The `.bin` layout is an on-disk contract: files written by any
+        // earlier build must keep loading. Any codec rewrite has to
+        // reproduce these exact bytes.
+        let mut bytes = Vec::new();
+        session().write_to(&mut bytes, TraceFormat::Binary).unwrap();
+        assert_eq!(bytes.len(), 19_713);
+        assert_eq!(ecas_obs::fnv1a_64(&bytes), 0xa528_0c2a_f740_95e9);
+    }
+
+    #[test]
+    fn binary_rejects_hostile_count_without_allocating() {
+        // A valid header (empty name and description, no seed), then a
+        // network count of 2^32 - 1 with no samples behind it.
+        let mut bytes = b"ECAS\x01".to_vec();
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        for v in [12.0f64, 1.0, 0.5] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.push(0);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = SessionTrace::read_from(bytes.as_slice(), TraceFormat::Binary).unwrap_err();
+        assert!(
+            matches!(&err, TraceIoError::Corrupt(msg) if msg.contains("network count")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn binary_rejects_trailing_bytes() {
+        let mut bytes = Vec::new();
+        session().write_to(&mut bytes, TraceFormat::Binary).unwrap();
+        bytes.push(0);
+        let err = SessionTrace::read_from(bytes.as_slice(), TraceFormat::Binary).unwrap_err();
+        assert!(
+            matches!(&err, TraceIoError::Corrupt(msg) if msg.contains("trailing")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -209,6 +209,22 @@ pub mod wire {
         pub fn byte(&mut self, context: &'static str) -> Result<u8, RecordError> {
             Ok(self.take(1, context)?[0])
         }
+
+        /// Takes the next `N` bytes as a fixed-size array, ready for
+        /// `from_le_bytes`.
+        ///
+        /// # Errors
+        ///
+        /// Returns [`RecordError::Truncated`] when fewer than `N` bytes
+        /// remain.
+        pub fn array<const N: usize>(
+            &mut self,
+            context: &'static str,
+        ) -> Result<[u8; N], RecordError> {
+            let mut out = [0u8; N];
+            out.copy_from_slice(self.take(N, context)?);
+            Ok(out)
+        }
     }
 
     /// Appends `v` as an LEB128 varint (1–10 bytes).
@@ -437,18 +453,14 @@ impl RecordContainer {
             found.copy_from_slice(magic);
             return Err(RecordError::BadMagic { found });
         }
-        let version_bytes = r.take(2, "version")?;
-        let version = u16::from_le_bytes([version_bytes[0], version_bytes[1]]);
+        let version = u16::from_le_bytes(r.array("version")?);
         if version != RECORD_VERSION {
             return Err(RecordError::UnsupportedVersion {
                 found: version,
                 supported: RECORD_VERSION,
             });
         }
-        let hash_bytes = r.take(8, "content hash")?;
-        let mut stored = [0u8; 8];
-        stored.copy_from_slice(hash_bytes);
-        let stored = u64::from_le_bytes(stored);
+        let stored = u64::from_le_bytes(r.array("content hash")?);
         let body = r.take(r.remaining(), "body")?;
         let computed = fnv1a_64(body);
         if stored != computed {

@@ -32,6 +32,13 @@ cargo run --release -p ecas-lint -- --json > lint-report.jsonl
 echo "==> test (workspace)"
 cargo test -q --workspace
 
+# perfbench/ is a workspace of its own, so the two steps above never
+# compile it; build and test it here so a change to the crates it uses
+# cannot break the benchmark unnoticed.
+echo "==> perfbench (build + test)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 if [ "$quick" -eq 0 ]; then
     if command -v cargo-clippy >/dev/null 2>&1; then
         echo "==> clippy (deny warnings)"
