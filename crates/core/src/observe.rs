@@ -26,6 +26,7 @@ use ecas_obs::{stable_hash, MetricsRegistry, RunManifest, TraceRef};
 use ecas_trace::videos::EvalTraceSpec;
 use ecas_types::ladder::LevelIndex;
 
+use crate::atomic::atomic_write;
 use crate::metrics::{ComparisonSummary, TraceComparison};
 use crate::report::{Scenario, TraceSelection};
 use crate::runner::ExperimentRunner;
@@ -144,9 +145,9 @@ pub fn run_observed_with(
     fs::create_dir_all(&timelines_dir)?;
 
     let manifest = manifest(scenario, &runner);
-    fs::write(
-        dir.join("manifest.json"),
-        format!("{}\n", manifest.to_json_pretty()),
+    atomic_write(
+        &dir.join("manifest.json"),
+        format!("{}\n", manifest.to_json_pretty()).as_bytes(),
     )?;
 
     let registry = Arc::new(MetricsRegistry::new());
@@ -176,9 +177,9 @@ pub fn run_observed_with(
                 // ecas-lint: allow(panic-safety, reason = "session events are plain enums; serialization cannot fail")
                 .map(|e| serde_json::to_value(e).expect("session event serializes"))
                 .collect();
-            fs::write(
-                timelines_dir.join(format!("{stem}.txt")),
-                segment_timeline(&values),
+            atomic_write(
+                &timelines_dir.join(format!("{stem}.txt")),
+                segment_timeline(&values).as_bytes(),
             )?;
             results.push(result);
         }
@@ -190,7 +191,10 @@ pub fn run_observed_with(
         ));
     }
 
-    fs::write(dir.join("metrics.txt"), metrics_summary(&registry.snapshot()))?;
+    atomic_write(
+        &dir.join("metrics.txt"),
+        metrics_summary(&registry.snapshot()).as_bytes(),
+    )?;
     Ok((ComparisonSummary { traces }, engine.stats()))
 }
 
@@ -216,6 +220,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ecas-observe-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Every artifact is published by rename; no `*.tmp` may survive.
+    fn assert_no_temp_files(dir: &Path) {
+        for sub in ["", "events", "timelines"] {
+            for entry in fs::read_dir(dir.join(sub)).unwrap() {
+                let name = entry.unwrap().file_name();
+                let name = name.to_string_lossy();
+                assert!(!name.ends_with(".tmp"), "leftover temp file {sub}/{name}");
+            }
+        }
     }
 
     #[test]
@@ -259,6 +274,7 @@ mod tests {
             // 15 segments of a 30 s video + header + rule.
             assert_eq!(timeline.lines().count(), 17, "{timeline}");
         }
+        assert_no_temp_files(&dir);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -294,6 +310,9 @@ mod tests {
         // carry the story instead.
         let metrics = fs::read_to_string(warm_dir.join("metrics.txt")).unwrap();
         assert!(metrics.contains("sweep/cache_hit"), "{metrics}");
+        // The warm run copied each event stream out of the cache.
+        assert_no_temp_files(&cold_dir);
+        assert_no_temp_files(&warm_dir);
 
         for d in [&cache, &cold_dir, &warm_dir] {
             fs::remove_dir_all(d).ok();

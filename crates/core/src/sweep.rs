@@ -424,7 +424,7 @@ impl SweepEngine {
                     let entry = *entry;
                     if let (Some(log), Some(probe)) = (entry.log, entry.probe_jsonl) {
                         self.note_hit();
-                        fs::write(events_path, probe)?;
+                        atomic_write(events_path, probe.as_bytes())?;
                         return Ok((entry.result, log));
                     }
                     self.note_corrupt();

@@ -11,7 +11,33 @@
 //! across runs and platforms because the serialization order is the struct
 //! field order and floats round-trip exactly.
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
+
+/// FNV-1a 64 state. As a [`fmt::Write`] sink it hashes text as it is
+/// written; FNV-1a is byte-sequential, so how the text is split into
+/// `write_str` calls cannot change the hash.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
 
 /// FNV-1a 64-bit hash.
 ///
@@ -21,29 +47,30 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[must_use]
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut hash = Fnv1a(Fnv1a::OFFSET_BASIS);
+    hash.update(bytes);
+    hash.0
 }
 
 /// Content hash of any serializable value: FNV-1a 64 over its compact JSON
-/// form.
+/// bytes, the exact text `serde_json::to_string` returns. The bytes are
+/// written by [`Serialize::write_json`] straight into the hasher, so
+/// neither a `Value` tree nor the JSON `String` is ever built; the hash is
+/// still defined by, and equal to, `fnv1a_64` of that text.
 ///
 /// # Panics
 ///
-/// Panics if the value fails to serialize (derived `Serialize` impls in
-/// this workspace cannot fail).
+/// Panics if the value fails to serialize (the hasher never fails, and
+/// the `Serialize` impls in this workspace only fail when their sink
+/// does).
 #[must_use]
 pub fn stable_hash<T: Serialize + ?Sized>(value: &T) -> u64 {
-    fnv1a_64(
-        serde_json::to_string(value)
-            // ecas-lint: allow(panic-safety, reason = "manifest types contain no non-serializable values; documented above")
-            .expect("value serializes")
-            .as_bytes(),
-    )
+    let mut hash = Fnv1a(Fnv1a::OFFSET_BASIS);
+    value
+        .write_json(&mut hash)
+        // ecas-lint: allow(panic-safety, reason = "the FNV-1a sink never fails, so write_json cannot; documented above")
+        .expect("value serializes");
+    hash.0
 }
 
 /// One trace in a run: its name and the seed regenerating it.

@@ -76,6 +76,20 @@ if ! grep -Eq 'cache: hits=[1-9][0-9]* misses=0 corrupt=0' "$obs_dir/eval_warm.l
     exit 1
 fi
 
+echo "==> cache-key derivation pinned (scripts/evaluate-cache-keys.txt)"
+# Cache file names hash the scenario, every trace's compact JSON and the
+# crate version. A change to any of them, a JSON renderer change included,
+# silently turns every existing warm cache into misses; this fails instead.
+# A crate_version bump changes every key on purpose: regenerate the file
+# then, from a fresh cache directory:
+#   ./target/release/evaluate --cache-dir "$dir" >/dev/null
+#   ls "$dir" | LC_ALL=C sort > scripts/evaluate-cache-keys.txt
+if ! ls "$cache_dir" | LC_ALL=C sort | cmp -s - scripts/evaluate-cache-keys.txt; then
+    echo "evaluate cache file names differ from scripts/evaluate-cache-keys.txt" >&2
+    ls "$cache_dir" | LC_ALL=C sort | diff - scripts/evaluate-cache-keys.txt >&2 || true
+    exit 1
+fi
+
 echo "==> bench binaries go through the shared CLI (no direct env::args)"
 if grep -Rn 'env::args' crates/bench/src/bin/; then
     echo "bench binaries must parse arguments via ecas_bench::cli" >&2
