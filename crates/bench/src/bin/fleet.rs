@@ -1,19 +1,21 @@
-//! Fleet-scale population simulation: stream a synthetic user
-//! population (diurnal arrivals, context / battery / signal mix) through
-//! the sweep pool in bounded-memory batches and print the streaming
-//! aggregate — QoE and energy means and tails, energy-per-GB, rebuffer
-//! and degradation rates, arrivals profile and per-class slices.
+//! Fleet-scale population simulation: map a synthetic user population
+//! (diurnal arrivals, context / battery / signal mix) over the worker
+//! pool, one synthesized trace per worker at a time, and print the
+//! exact aggregate — QoE and energy means and tails, energy-per-GB,
+//! rebuffer and degradation rates, arrivals profile and per-class
+//! slices.
 //!
 //! `--smoke` runs the CI configuration: 100 000 users with short
-//! sessions, small enough to finish in seconds yet large enough that the
-//! batching seam (users never materialize all at once) is exercised for
-//! real. The report deliberately contains no timing, policy or host
-//! information, so CI runs the smoke twice (and once more under
-//! `--jobs 1`) and byte-compares the outputs: same fleet, same bytes,
-//! whatever the execution policy.
+//! sessions, small enough to finish in seconds. The report deliberately
+//! contains no timing, policy or host information, and the reduction is
+//! exact, so CI runs the smoke twice (and once more under `--jobs 1`)
+//! and byte-compares the outputs: same fleet, same bytes, whatever the
+//! execution policy. `--cache-dir` serves each user's cell from, and
+//! stores it into, the sweep result cache; a warm rerun prints the same
+//! bytes.
 //!
-//! `--users`, `--seed`, `--batch` and `--duration` override the fleet
-//! shape; `--json` / `--markdown` select the output format.
+//! `--users`, `--seed` and `--duration` override the fleet shape;
+//! `--json` / `--markdown` select the output format.
 
 use ecas_bench::{Cli, Report, Table};
 use ecas_core::fleet::{FleetEngine, FleetReport};
@@ -56,7 +58,6 @@ fn main() {
     .grid()
     .option("--users", "n", "fleet size (default: 1000000, or 100000 with --smoke)")
     .option("--seed", "n", "fleet seed (default: 8)")
-    .option("--batch", "n", "users synthesized and simulated per batch (default: 2048)")
     .option(
         "--duration",
         "s",
@@ -76,16 +77,7 @@ fn main() {
     );
     let spec = PopulationSpec::new(users, seed).mean_duration(Seconds::new(duration));
 
-    let mut engine = FleetEngine::paper();
-    if let Some(batch) = args.option("--batch") {
-        let batch = parse_u64("--batch", batch);
-        if batch == 0 {
-            eprintln!("fleet: invalid --batch 0 (expected 1 or more)");
-            std::process::exit(2);
-        }
-        engine = engine.batch_size(batch as usize);
-    }
-
+    let engine = FleetEngine::paper();
     let policy = args.exec_policy();
     let fleet = engine.run(&spec, &policy);
     ecas_bench::report_cache_stats(&policy, &engine.stats());

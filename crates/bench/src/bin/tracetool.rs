@@ -3,14 +3,13 @@
 //!
 //! ```text
 //! tracetool generate <quiet|walking|vehicle|commute> <seconds> <seed> <out>
-//! tracetool tablev <id> <out.json|out.bin>
-//! tracetool inspect <trace.json|trace.bin>
+//! tracetool tablev <id> <out.json>
+//! tracetool inspect <trace.json>
 //! tracetool mahimahi <packets.txt> <bin-seconds>
 //! tracetool mpd <seconds> [out.mpd]
 //! ```
 //!
-//! JSON vs binary is picked by the output extension
-//! ([`TraceFormat::from_path`]).
+//! Traces are read and written as JSON.
 
 use std::fs::File;
 use std::io::Read;
@@ -18,7 +17,7 @@ use std::process::ExitCode;
 
 use ecas_bench::Cli;
 use ecas_core::trace::analysis::SessionStats;
-use ecas_core::trace::io::{read_mahimahi, TraceFormat};
+use ecas_core::trace::io::read_mahimahi;
 use ecas_core::trace::session::SessionTrace;
 use ecas_core::trace::synth::context::{Context, ContextSchedule};
 use ecas_core::trace::synth::SessionGenerator;
@@ -32,16 +31,16 @@ fn cli() -> Cli {
                 .positional("context", "quiet | walking | vehicle | commute")
                 .positional("seconds", "session duration in seconds")
                 .positional("seed", "generator seed")
-                .positional("out", "output path (.bin for binary, else JSON)"),
+                .positional("out", "output path (JSON)"),
         )
         .subcommand(
             Cli::new("tablev", "write one of the five Table V evaluation traces")
                 .positional("id", "Table V trace id (1..5)")
-                .positional("out", "output path (.bin for binary, else JSON)"),
+                .positional("out", "output path (JSON)"),
         )
         .subcommand(
             Cli::new("inspect", "summarize a stored trace")
-                .positional("trace", "trace file (.json or .bin)"),
+                .positional("trace", "trace file (JSON)"),
         )
         .subcommand(
             Cli::new("mahimahi", "bin a mahimahi packet log into a throughput series")
@@ -81,7 +80,7 @@ fn main() -> ExitCode {
 
 fn save(session: &SessionTrace, path: &str) -> Result<(), String> {
     session.save(path).map_err(|e| e.to_string())?;
-    println!("wrote {path} ({})", TraceFormat::from_path(path));
+    println!("wrote {path} (json)");
     Ok(())
 }
 

@@ -84,7 +84,7 @@ fn session_cli() -> Cli {
         .subcommand(
             Cli::new("verify", "replay each record and diff against its reference")
                 .option("--jobs", "n", "verification workers (default: auto)")
-                .option("--filter", "substr", "only verify records whose label contains <substr>")
+                .option("--filter", "substr", "only verify records whose <label> eta=<η> id=<identity> name contains <substr>")
                 .positional("path", "record file (.ecasr) or corpus directory")
                 .trailing("paths", "further record files or corpus directories"),
         )

@@ -12,8 +12,8 @@
 //!   `corpus.json` index manifest.
 //! * [`verify`] streams `session verify` over a whole corpus in
 //!   parallel with an order-stable summary — byte-identical across
-//!   `--jobs` widths — and an optional substring filter on scenario
-//!   labels.
+//!   `--jobs` widths — and an optional substring filter on the
+//!   `<label> eta=<η> id=<identity>` scenario name [`diff`] prints.
 //! * Because corpus files are named by their sweep cache key, a corpus
 //!   directory doubles as a warm result cache: `SweepEngine`'s cached
 //!   policy serves unobserved cells straight from the recorded
@@ -270,8 +270,9 @@ pub fn list(dir: &Path) -> Result<Vec<PathBuf>, CorpusError> {
 pub struct VerifyOptions {
     /// Worker count for the verification pool (`0` = one per core).
     pub jobs: usize,
-    /// Verify only records whose scenario label contains this
-    /// substring; everything else is skipped (counted, not listed).
+    /// Verify only records whose scenario name — the
+    /// `<label> eta=<η> id=<identity>` row name [`diff`] prints — contains
+    /// this substring; everything else is skipped (counted, not listed).
     pub filter: Option<String>,
 }
 
@@ -333,7 +334,7 @@ pub fn verify(paths: &[PathBuf], options: &VerifyOptions) -> VerifySummary {
             Err(e) => return VerifyOutcome::Fail(format!("FAIL {shown}: {e}")),
         };
         if let Some(filter) = &options.filter {
-            if !record.scenario.label().contains(filter.as_str()) {
+            if !row_name(&scenario_key(&record.scenario)).contains(filter.as_str()) {
                 return VerifyOutcome::Skip;
             }
         }
@@ -428,17 +429,14 @@ fn load_references(dir: &Path) -> Result<References, CorpusError> {
     let mut map = References::new();
     for path in list(dir)? {
         let record = SessionRecord::load(&path)?;
-        let scenario = &record.scenario;
-        let name = format!("{} eta={}", scenario.label(), scenario.eta);
-        let id = stable_hash(scenario);
-        match map.entry((name, id)) {
+        match map.entry(scenario_key(&record.scenario)) {
             Entry::Vacant(slot) => {
                 slot.insert((path, record.reference));
             }
             Entry::Occupied(slot) => {
-                let ((name, id), (first, _)) = slot.remove_entry();
+                let (key, (first, _)) = slot.remove_entry();
                 return Err(CorpusError::Duplicate {
-                    scenario: format!("{name} id={id:016x}"),
+                    scenario: row_name(&key),
                     first,
                     second: path,
                 });
@@ -503,7 +501,17 @@ pub fn diff(a: &Path, b: &Path) -> Result<CorpusDiff, CorpusError> {
     Ok(diff)
 }
 
-/// A diff row's scenario name: display name plus identity.
+/// A scenario's [`References`] key: its display name with η, and its
+/// identity.
+fn scenario_key(scenario: &RecordScenario) -> (String, u64) {
+    (
+        format!("{} eta={}", scenario.label(), scenario.eta),
+        stable_hash(scenario),
+    )
+}
+
+/// A scenario's row name, `<label> eta=<η> id=<identity>`: what [`diff`]
+/// prints and what [`VerifyOptions::filter`] matches.
 fn row_name((name, id): &(String, u64)) -> String {
     format!("{name} id={id:016x}")
 }
@@ -638,6 +646,52 @@ mod tests {
         );
         assert_eq!(none.records, 0);
         assert_eq!(none.skipped, 3);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn verify_filter_selects_one_eta() {
+        let dir = temp_dir("eta-filter");
+        let mut scenarios = fleet_scenarios(3, 11, 20.0, Approach::Ours, 0.3, None);
+        scenarios.extend(fleet_scenarios(3, 11, 20.0, Approach::Ours, 0.7, None));
+        batch_record(&dir, &scenarios, &CorpusOptions::default()).unwrap();
+        let paths = list(&dir).unwrap();
+        assert_eq!(paths.len(), 6);
+        let only = |filter: &str| {
+            verify(
+                &paths,
+                &VerifyOptions {
+                    jobs: 0,
+                    filter: Some(filter.to_string()),
+                },
+            )
+        };
+        let low = only("eta=0.3");
+        assert_eq!((low.records, low.skipped, low.failures), (3, 3, 0));
+        let high = only("eta=0.7 ");
+        assert_eq!((high.records, high.skipped), (3, 3));
+        // Labels still select, across both η.
+        assert_eq!(only("u1-").records, 2);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn verify_filter_matches_scenario_identity() {
+        let dir = temp_dir("id-filter");
+        let scenarios = small_fleet();
+        batch_record(&dir, &scenarios, &CorpusOptions::default()).unwrap();
+        let paths = list(&dir).unwrap();
+        let row = row_name(&scenario_key(&scenarios[1]));
+        let id = row.rsplit(' ').next().unwrap();
+        assert!(id.starts_with("id="), "{row}");
+        let picked = verify(
+            &paths,
+            &VerifyOptions {
+                jobs: 2,
+                filter: Some(id.to_string()),
+            },
+        );
+        assert_eq!((picked.records, picked.skipped, picked.failures), (1, 2, 0));
         fs::remove_dir_all(&dir).ok();
     }
 

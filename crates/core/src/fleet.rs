@@ -8,29 +8,24 @@
 //!    describes the fleet intensively (diurnal arrivals, context /
 //!    battery / signal mix) — user `i` is a pure function of the fleet
 //!    seed, so no per-user state exists up front;
-//! 2. [`FleetEngine::run`] synthesizes users in bounded-size batches
-//!    (reusing one [`SessionBatch`] spine), streams each batch through
-//!    [`SweepEngine`]'s work-stealing pool, and folds the batch's
-//!    results into a [`FleetReducer`] **in global user order** — then
-//!    drops them;
-//! 3. the reducer keeps only aggregates: counters, fixed-bin QoE and
-//!    energy histograms ([`FixedHistogram`]), per-class [`ClassReport`]
-//!    slices (context / battery / signal) and an arrivals-by-hour
-//!    profile. Peak memory is O(batch), independent of fleet size.
+//! 2. [`FleetEngine::run`] is a map-reduce over user indices: each pool
+//!    worker takes every `W`-th user, synthesizes that one trace, runs
+//!    it through [`SweepEngine`]'s per-cell step (cache lookup, compute,
+//!    store), absorbs the result into its own [`FleetReducer`] and drops
+//!    the trace; the worker reducers are merged at the end;
+//! 3. the reducer keeps only aggregates: counters, exact sums, fixed-bin
+//!    QoE and energy histograms ([`FixedHistogram`]), per-class
+//!    [`ClassReport`] slices (context / battery / signal) and an
+//!    arrivals-by-hour profile. Peak memory is one trace per worker,
+//!    independent of fleet size.
 //!
-//! **Determinism.** `SweepEngine::run_grid` returns results in
-//! sessions-major order regardless of [`ExecPolicy`], and the reducer
-//! folds them in that order across batches, so the aggregate report is
-//! byte-identical for `Sequential` and `Parallel { jobs }` execution
-//! *and* invariant to the batch size (the floating-point sums
-//! accumulate in the same global order either way). CI asserts both.
-//!
-//! **Shards.** [`FleetReducer::merge`] combines independently built
-//! reducers. Integer state (counters, histograms) merges exactly;
-//! floating-point sums merge associatively up to the usual rounding, so
-//! sharded and single-pass runs agree to within f64 round-off (the
-//! engine's own streaming path never relies on merge — it folds one
-//! reducer in order precisely to keep the byte-identity guarantee).
+//! **Determinism.** Every sum in the reducer is exact (Shewchuk's
+//! non-overlapping partials, finalized with correct rounding), and
+//! counters and histograms are integers, so [`FleetReducer::merge`] is
+//! exact too. The report therefore does not depend on the order users
+//! are absorbed in or on how they are split into shards: it is
+//! byte-identical across `Sequential`, `Parallel { jobs }` and cached
+//! execution. CI asserts it.
 //!
 //! Percentile tails use the workspace's shared
 //! [`nearest_rank`](ecas_types::float::nearest_rank) convention over
@@ -40,12 +35,13 @@ use std::sync::Arc;
 
 use ecas_obs::{names, perf, MetricsRegistry};
 use ecas_sim::result::SessionResult;
-use ecas_trace::population::{BatteryState, FleetContext, PopulationSpec, SessionBatch, SignalTier, UserSpec};
+use ecas_trace::population::{BatteryState, FleetContext, PopulationSpec, SignalTier, UserSpec};
 use ecas_types::float::nearest_rank;
 use ecas_types::units::MegaBytes;
 use serde::{Deserialize, Serialize};
 
 use crate::approach::Approach;
+use crate::pool;
 use crate::runner::ExperimentRunner;
 use crate::sweep::{CacheStats, ExecPolicy, SweepEngine};
 
@@ -185,27 +181,123 @@ impl FixedHistogram {
     }
 }
 
+/// An exact running sum of `f64`s: Shewchuk's non-overlapping partials
+/// ("Adaptive Precision Floating-Point Arithmetic", 1997 — the
+/// `math.fsum` algorithm). Every addition is error-free, so the total,
+/// and its correctly rounded [`ExactSum::value`], is the same whatever
+/// order the addends arrive in and however partial sums are merged.
+///
+/// Non-finite addends are summed apart, naively, so a NaN or ±inf gives
+/// exactly the result plain summation would. A finite total beyond
+/// `f64::MAX` saturates to ±inf.
+#[derive(Debug, Clone, Default)]
+struct ExactSum {
+    /// Non-overlapping partials in increasing magnitude; their exact sum
+    /// is the total of the finite addends.
+    partials: Vec<f64>,
+    /// Plain sum of the non-finite addends: `0.0` while there are none,
+    /// then ±inf or NaN for good.
+    nonfinite: f64,
+}
+
+impl ExactSum {
+    fn add(&mut self, value: f64) {
+        if !value.is_finite() {
+            self.nonfinite += value;
+            return;
+        }
+        let mut x = value;
+        self.partials.retain_mut(|p| {
+            let (big, small) = if x.abs() < p.abs() { (*p, x) } else { (x, *p) };
+            let hi = big + small;
+            let lo = small - (hi - big);
+            x = hi;
+            *p = lo;
+            lo.abs() > 0.0
+        });
+        if !x.is_finite() {
+            // Overflow: the partials no longer mean anything.
+            self.nonfinite += x;
+            self.partials.clear();
+        } else if x.abs() > 0.0 {
+            // Zero is left out, so an empty sum (or one of -0.0 alone)
+            // reads +0.0, as naive summation from 0.0 does.
+            self.partials.push(x);
+        }
+    }
+
+    fn merge(&mut self, other: &ExactSum) {
+        for &p in &other.partials {
+            self.add(p);
+        }
+        self.nonfinite += other.nonfinite;
+    }
+
+    /// The total, correctly rounded (round half to even).
+    fn value(&self) -> f64 {
+        if !self.nonfinite.is_finite() {
+            return self.nonfinite;
+        }
+        let mut rest = self.partials.iter().rev().copied();
+        let Some(mut hi) = rest.next() else {
+            return 0.0;
+        };
+        // Add partials from the largest down until one is absorbed
+        // inexactly; `lo` is what that addition rounded away.
+        let mut lo = 0.0;
+        for y in rest.by_ref() {
+            let x = hi;
+            hi = x + y;
+            lo = y - (hi - x);
+            if lo.abs() > 0.0 {
+                break;
+            }
+        }
+        // Half-way case: if the partials below push the same way as
+        // `lo`, the exact total lies past the tie and rounds away from
+        // `hi`.
+        if let Some(next) = rest.next() {
+            if (lo < 0.0 && next < 0.0) || (lo > 0.0 && next > 0.0) {
+                let y = lo * 2.0;
+                let x = hi + y;
+                if (x - hi).to_bits() == y.to_bits() {
+                    hi = x;
+                }
+            }
+        }
+        hi
+    }
+}
+
+impl PartialEq for ExactSum {
+    /// Two sums are equal when their totals are (bit for bit), however
+    /// their partials happen to be split.
+    fn eq(&self, other: &Self) -> bool {
+        self.value().to_bits() == other.value().to_bits()
+    }
+}
+
 /// Sub-aggregate for one population class (a context, battery state or
 /// signal tier): enough to report the class share and its mean QoE and
 /// energy without per-session state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct ClassAgg {
     count: u64,
-    qoe_sum: f64,
-    energy_sum: f64,
+    qoe_sum: ExactSum,
+    energy_sum: ExactSum,
 }
 
 impl ClassAgg {
     fn absorb(&mut self, qoe: f64, energy: f64) {
         self.count += 1;
-        self.qoe_sum += qoe;
-        self.energy_sum += energy;
+        self.qoe_sum.add(qoe);
+        self.energy_sum.add(energy);
     }
 
     fn merge(&mut self, other: &ClassAgg) {
         self.count += other.count;
-        self.qoe_sum += other.qoe_sum;
-        self.energy_sum += other.energy_sum;
+        self.qoe_sum.merge(&other.qoe_sum);
+        self.energy_sum.merge(&other.energy_sum);
     }
 
     fn report(&self, class: &str, fleet: u64) -> ClassReport {
@@ -217,23 +309,27 @@ impl ClassAgg {
             } else {
                 self.count as f64 / fleet as f64
             },
-            mean_qoe: if self.count == 0 { 0.0 } else { self.qoe_sum / n },
+            mean_qoe: if self.count == 0 {
+                0.0
+            } else {
+                self.qoe_sum.value() / n
+            },
             mean_energy_j: if self.count == 0 {
                 0.0
             } else {
-                self.energy_sum / n
+                self.energy_sum.value() / n
             },
         }
     }
 }
 
 /// The streaming fleet aggregator: absorbs one `(user, result)` pair at
-/// a time and keeps only O(1) state — counters, sums, fixed-bin
+/// a time and keeps only O(1) state — counters, exact sums, fixed-bin
 /// histograms, per-class sub-aggregates and the arrivals profile.
 ///
-/// Reducers built over disjoint user ranges can be combined with
-/// [`FleetReducer::merge`] (exact for all integer state; floating-point
-/// sums combine up to f64 rounding).
+/// Reducers built over disjoint sets of users combine exactly with
+/// [`FleetReducer::merge`]: the report does not depend on how the users
+/// were split or in which order anything was absorbed or merged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReducer {
     users: u64,
@@ -243,16 +339,16 @@ pub struct FleetReducer {
     aborts: u64,
     degraded: u64,
     stalled_sessions: u64,
-    qoe_sum: f64,
-    energy_sum: f64,
-    screen_sum: f64,
-    decode_sum: f64,
-    radio_sum: f64,
-    tail_sum: f64,
-    rebuffer_sum: f64,
-    wall_sum: f64,
-    played_sum: f64,
-    downloaded: MegaBytes,
+    qoe_sum: ExactSum,
+    energy_sum: ExactSum,
+    screen_sum: ExactSum,
+    decode_sum: ExactSum,
+    radio_sum: ExactSum,
+    tail_sum: ExactSum,
+    rebuffer_sum: ExactSum,
+    wall_sum: ExactSum,
+    played_sum: ExactSum,
+    downloaded_sum: ExactSum,
     arrivals: [u64; 24],
     by_context: [ClassAgg; 4],
     by_battery: [ClassAgg; 3],
@@ -279,20 +375,20 @@ impl FleetReducer {
             aborts: 0,
             degraded: 0,
             stalled_sessions: 0,
-            qoe_sum: 0.0,
-            energy_sum: 0.0,
-            screen_sum: 0.0,
-            decode_sum: 0.0,
-            radio_sum: 0.0,
-            tail_sum: 0.0,
-            rebuffer_sum: 0.0,
-            wall_sum: 0.0,
-            played_sum: 0.0,
-            downloaded: MegaBytes::default(),
+            qoe_sum: ExactSum::default(),
+            energy_sum: ExactSum::default(),
+            screen_sum: ExactSum::default(),
+            decode_sum: ExactSum::default(),
+            radio_sum: ExactSum::default(),
+            tail_sum: ExactSum::default(),
+            rebuffer_sum: ExactSum::default(),
+            wall_sum: ExactSum::default(),
+            played_sum: ExactSum::default(),
+            downloaded_sum: ExactSum::default(),
             arrivals: [0; 24],
-            by_context: [ClassAgg::default(); 4],
-            by_battery: [ClassAgg::default(); 3],
-            by_signal: [ClassAgg::default(); 3],
+            by_context: Default::default(),
+            by_battery: Default::default(),
+            by_signal: Default::default(),
             qoe_hist: FixedHistogram::new(QOE_LO, QOE_HI, QOE_BINS),
             energy_hist: FixedHistogram::new(ENERGY_LO, ENERGY_HI, ENERGY_BINS),
         }
@@ -318,16 +414,16 @@ impl FleetReducer {
         if result.total_rebuffer.value() > 0.0 {
             self.stalled_sessions += 1;
         }
-        self.qoe_sum += qoe;
-        self.energy_sum += energy;
-        self.screen_sum += result.energy.screen.value();
-        self.decode_sum += result.energy.decode.value();
-        self.radio_sum += result.energy.radio.value();
-        self.tail_sum += result.energy.tail.value();
-        self.rebuffer_sum += result.total_rebuffer.value();
-        self.wall_sum += result.wall_time.value();
-        self.played_sum += result.played.value();
-        self.downloaded += result.downloaded;
+        self.qoe_sum.add(qoe);
+        self.energy_sum.add(energy);
+        self.screen_sum.add(result.energy.screen.value());
+        self.decode_sum.add(result.energy.decode.value());
+        self.radio_sum.add(result.energy.radio.value());
+        self.tail_sum.add(result.energy.tail.value());
+        self.rebuffer_sum.add(result.total_rebuffer.value());
+        self.wall_sum.add(result.wall_time.value());
+        self.played_sum.add(result.played.value());
+        self.downloaded_sum.add(result.downloaded.value());
 
         let hour = (user.hour as usize).min(23);
         if let Some(slot) = self.arrivals.get_mut(hour) {
@@ -362,9 +458,9 @@ impl FleetReducer {
         self.energy_hist.record(energy);
     }
 
-    /// Combines `other` (built over a disjoint user range) into `self`.
-    /// Counters and histograms add exactly; floating-point sums add with
-    /// the usual f64 rounding.
+    /// Combines `other` (built over a disjoint set of users) into
+    /// `self`, exactly: counters and histograms add as integers and every
+    /// sum stays exact.
     pub fn merge(&mut self, other: &FleetReducer) {
         self.users += other.users;
         self.segments += other.segments;
@@ -373,16 +469,16 @@ impl FleetReducer {
         self.aborts += other.aborts;
         self.degraded += other.degraded;
         self.stalled_sessions += other.stalled_sessions;
-        self.qoe_sum += other.qoe_sum;
-        self.energy_sum += other.energy_sum;
-        self.screen_sum += other.screen_sum;
-        self.decode_sum += other.decode_sum;
-        self.radio_sum += other.radio_sum;
-        self.tail_sum += other.tail_sum;
-        self.rebuffer_sum += other.rebuffer_sum;
-        self.wall_sum += other.wall_sum;
-        self.played_sum += other.played_sum;
-        self.downloaded += other.downloaded;
+        self.qoe_sum.merge(&other.qoe_sum);
+        self.energy_sum.merge(&other.energy_sum);
+        self.screen_sum.merge(&other.screen_sum);
+        self.decode_sum.merge(&other.decode_sum);
+        self.radio_sum.merge(&other.radio_sum);
+        self.tail_sum.merge(&other.tail_sum);
+        self.rebuffer_sum.merge(&other.rebuffer_sum);
+        self.wall_sum.merge(&other.wall_sum);
+        self.played_sum.merge(&other.played_sum);
+        self.downloaded_sum.merge(&other.downloaded_sum);
         for (a, b) in self.arrivals.iter_mut().zip(&other.arrivals) {
             *a += b;
         }
@@ -409,6 +505,9 @@ impl FleetReducer {
             p90: h.percentile(0.90).unwrap_or(0.0),
             p99: h.percentile(0.99).unwrap_or(0.0),
         };
+        let energy = self.energy_sum.value();
+        let downloaded = self.downloaded_sum.value();
+        let wall = self.wall_sum.value();
         FleetReport {
             users: self.users,
             segments: self.segments,
@@ -417,19 +516,19 @@ impl FleetReducer {
             aborts: self.aborts,
             degraded_segments: self.degraded,
             stalled_sessions: self.stalled_sessions,
-            mean_qoe: mean(self.qoe_sum),
-            mean_energy_j: mean(self.energy_sum),
-            energy_per_gb_j: if self.downloaded.value() > 0.0 {
-                self.energy_sum / (self.downloaded.value() / 1000.0)
+            mean_qoe: mean(self.qoe_sum.value()),
+            mean_energy_j: mean(energy),
+            energy_per_gb_j: if downloaded > 0.0 {
+                energy / (downloaded / 1000.0)
             } else {
                 0.0
             },
-            energy_screen_j: self.screen_sum,
-            energy_decode_j: self.decode_sum,
-            energy_radio_j: self.radio_sum,
-            energy_tail_j: self.tail_sum,
-            rebuffer_ratio: if self.wall_sum > 0.0 {
-                self.rebuffer_sum / self.wall_sum
+            energy_screen_j: self.screen_sum.value(),
+            energy_decode_j: self.decode_sum.value(),
+            energy_radio_j: self.radio_sum.value(),
+            energy_tail_j: self.tail_sum.value(),
+            rebuffer_ratio: if wall > 0.0 {
+                self.rebuffer_sum.value() / wall
             } else {
                 0.0
             },
@@ -439,8 +538,8 @@ impl FleetReducer {
             } else {
                 self.degraded as f64 / self.segments as f64
             },
-            played_s: self.played_sum,
-            downloaded_mb: self.downloaded,
+            played_s: self.played_sum.value(),
+            downloaded_mb: MegaBytes::new(downloaded),
             qoe_tail: tail(&self.qoe_hist),
             energy_tail: tail(&self.energy_hist),
             qoe_nan: self.qoe_hist.nan_count(),
@@ -619,8 +718,9 @@ impl FleetReport {
     }
 }
 
-/// The fleet population engine: streams a [`PopulationSpec`] through a
-/// [`SweepEngine`] in bounded-memory batches and reduces on the fly.
+/// The fleet population engine: a map-reduce of a [`PopulationSpec`]'s
+/// user indices over the shared worker pool, one trace per worker at a
+/// time.
 ///
 /// # Examples
 ///
@@ -631,24 +731,24 @@ impl FleetReport {
 /// use ecas_core::types::units::Seconds;
 ///
 /// let spec = PopulationSpec::new(8, 7).mean_duration(Seconds::new(20.0));
-/// let engine = FleetEngine::paper().batch_size(4);
+/// let engine = FleetEngine::paper();
 /// let seq = engine.run(&spec, &ExecPolicy::Sequential);
-/// let par = engine.run(&spec, &ExecPolicy::parallel());
+/// let par = engine.run(&spec, &ExecPolicy::Parallel { jobs: 3 });
 /// assert_eq!(seq.users, 8);
 /// // The aggregate is execution-policy independent, byte for byte.
+/// assert_eq!(seq, par);
 /// assert_eq!(seq.render(), par.render());
 /// ```
 pub struct FleetEngine {
     sweep: SweepEngine,
     approach: Approach,
-    batch: usize,
     registry: Option<Arc<MetricsRegistry>>,
 }
 
 impl FleetEngine {
-    /// Default batch size: large enough to keep every worker of a wide
-    /// pool busy, small enough that a batch of short sessions stays in
-    /// the tens of megabytes.
+    /// A fleet batch size for harnesses that synthesize users in
+    /// batches of their own. The engine does not use it: it synthesizes
+    /// one user at a time per worker.
     pub const DEFAULT_BATCH: usize = 2048;
 
     /// Creates an engine around a configured runner, evaluating the
@@ -658,7 +758,6 @@ impl FleetEngine {
         Self {
             sweep: SweepEngine::new(runner),
             approach: Approach::Ours,
-            batch: Self::DEFAULT_BATCH,
             registry: None,
         }
     }
@@ -673,18 +772,6 @@ impl FleetEngine {
     #[must_use]
     pub fn approach(mut self, approach: Approach) -> Self {
         self.approach = approach;
-        self
-    }
-
-    /// Overrides the batch size (the memory bound of a fleet run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    #[must_use]
-    pub fn batch_size(mut self, batch: usize) -> Self {
-        assert!(batch > 0, "batch size must be positive");
-        self.batch = batch;
         self
     }
 
@@ -706,35 +793,42 @@ impl FleetEngine {
 
     /// Runs the whole fleet under `policy` and returns the aggregate.
     ///
-    /// Memory: one [`SessionBatch`] of `batch_size` synthesized sessions
-    /// plus that batch's results — never the fleet. The fold order is
-    /// the global user order for every policy and batch size, so the
-    /// report (and its [`FleetReport::render`] text) is byte-identical
-    /// across `Sequential` / `Parallel { jobs }` and across batch-size
-    /// choices.
+    /// The policy's width `W` (see [`ExecPolicy::width`]) is the number
+    /// of shards: shard `w` takes users `w, w + W, …`, and for each one
+    /// synthesizes the trace, runs its cell (through the cache when the
+    /// policy caches), absorbs the result into the shard's reducer and
+    /// drops the trace. The shard reducers merge exactly, so the report
+    /// (and its [`FleetReport::render`] text) is byte-identical for every
+    /// policy. Memory: one trace per worker, never the fleet.
     #[must_use]
     pub fn run(&self, spec: &PopulationSpec, policy: &ExecPolicy) -> FleetReport {
         let watch = self.registry.as_ref().map(|_| perf::Stopwatch::start());
-        let mut reducer = FleetReducer::new();
-        let mut batch = SessionBatch::with_capacity(self.batch.min(spec.users() as usize));
-        let approaches = [self.approach];
-        let mut start = 0u64;
-        while start < spec.users() {
-            batch.refill(spec, start, self.batch);
-            let results = self.sweep.run_grid(batch.sessions(), &approaches, policy);
-            for (user, result) in batch.specs().iter().zip(&results) {
-                reducer.absorb(user, result);
+        let users = spec.users();
+        let width =
+            pool::resolve_workers(policy.width(), usize::try_from(users).unwrap_or(usize::MAX));
+        let cache = self.sweep.open_cache(policy);
+        let shards: Vec<u64> = (0..width as u64).collect();
+        let reducers = pool::run_ordered(&shards, width, |&shard| {
+            let mut reducer = FleetReducer::new();
+            for i in (shard..users).step_by(width) {
+                let user = spec.user(i);
+                let trace = user.synthesize();
+                let result = self.sweep.run_cell(&trace, self.approach, cache);
+                reducer.absorb(&user, &result);
+                if let Some(registry) = &self.registry {
+                    registry.add(names::FLEET_USERS, 1);
+                }
             }
-            start += batch.len() as u64;
-            if let Some(registry) = &self.registry {
-                registry.add(names::FLEET_USERS, batch.len() as u64);
-                registry.add(names::FLEET_BATCHES, 1);
-            }
+            reducer
+        });
+        let mut fleet = FleetReducer::new();
+        for reducer in &reducers {
+            fleet.merge(reducer);
         }
         if let (Some(watch), Some(registry)) = (watch, &self.registry) {
             registry.record_span(names::FLEET_EXECUTE_SPAN, watch.elapsed_nanos());
         }
-        reducer.finalize()
+        fleet.finalize()
     }
 }
 
@@ -745,6 +839,9 @@ impl FleetEngine {
 mod tests {
     use super::*;
     use ecas_types::units::Seconds;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn tiny_spec(users: u64) -> PopulationSpec {
         PopulationSpec::new(users, 0xF1EE7).mean_duration(Seconds::new(20.0))
@@ -810,7 +907,7 @@ mod tests {
         // reports zero — and the render must say so explicitly rather
         // than hide the tally.
         let spec = tiny_spec(3);
-        let mut report = FleetEngine::paper().batch_size(3).run(&spec, &ExecPolicy::Sequential);
+        let mut report = FleetEngine::paper().run(&spec, &ExecPolicy::Sequential);
         assert_eq!(report.qoe_nan, 0);
         assert_eq!(report.energy_nan, 0);
         assert!(report.render().contains("p99=") && report.render().contains(" nan=0"));
@@ -824,67 +921,153 @@ mod tests {
         assert!(energy_line.ends_with("nan=0"), "{energy_line}");
     }
 
+    fn exact(values: &[f64]) -> ExactSum {
+        let mut sum = ExactSum::default();
+        for &v in values {
+            sum.add(v);
+        }
+        sum
+    }
+
+    #[test]
+    fn exact_sum_is_correctly_rounded() {
+        assert_eq!(exact(&[]).value(), 0.0);
+        assert_eq!(
+            exact(&[0.1; 10]).value(),
+            1.0,
+            "naive summation gives 0.9999999999999999"
+        );
+        assert_eq!(exact(&[1e100, 1.0, -1e100]).value(), 1.0);
+        assert_eq!(exact(&[1.0, -1.0]).value().to_bits(), 0.0f64.to_bits());
+        // 2^53 + 1 + 2^-60 lies just past the tie between 2^53 and
+        // 2^53 + 2, so it rounds up; without the 2^-60 it rounds to even.
+        let big = 9_007_199_254_740_992.0;
+        assert_eq!(exact(&[big, 1.0, 2f64.powi(-60)]).value(), big + 2.0);
+        assert_eq!(exact(&[big, 1.0]).value(), big);
+        assert_eq!(exact(&[big, 1.0, -(2f64.powi(-60))]).value(), big);
+    }
+
+    #[test]
+    fn exact_sum_keeps_naive_nonfinite_results() {
+        let nan = exact(&[1.0, f64::NAN, 2.0]).value();
+        assert!(nan.is_nan());
+        assert_eq!(exact(&[1.0, f64::INFINITY, -5.0]).value(), f64::INFINITY);
+        assert_eq!(exact(&[f64::NEG_INFINITY, 3.0]).value(), f64::NEG_INFINITY);
+        let mixed = exact(&[f64::INFINITY, 1.0, f64::NEG_INFINITY]);
+        assert!(mixed.value().is_nan());
+        // Merging carries the non-finite part across.
+        let mut left = exact(&[1.0, f64::INFINITY]);
+        left.merge(&exact(&[2.0]));
+        assert_eq!(left.value(), f64::INFINITY);
+        let mut right = exact(&[2.0]);
+        right.merge(&exact(&[f64::NAN]));
+        assert!(right.value().is_nan());
+        // A finite total beyond f64::MAX saturates.
+        assert_eq!(exact(&[f64::MAX, f64::MAX]).value(), f64::INFINITY);
+    }
+
+    fn run_cells(spec: &PopulationSpec) -> Vec<(UserSpec, SessionResult)> {
+        let runner = ExperimentRunner::paper();
+        (0..spec.users())
+            .map(|i| {
+                let user = spec.user(i);
+                let result = runner.run(&user.synthesize(), &Approach::Ours);
+                (user, result)
+            })
+            .collect()
+    }
+
     #[test]
     fn reducer_merge_matches_single_pass_on_integer_state() {
         let spec = tiny_spec(6);
-        let engine = FleetEngine::paper().batch_size(6);
-        // Build session results once via the engine's own sweep path.
-        let mut batch = SessionBatch::with_capacity(6);
-        batch.refill(&spec, 0, 6);
-        let results = SweepEngine::new(ExperimentRunner::paper()).run_grid(
-            batch.sessions(),
-            &[Approach::Ours],
-            &ExecPolicy::Sequential,
-        );
-
+        let cells = run_cells(&spec);
         let mut single = FleetReducer::new();
-        for (u, r) in batch.specs().iter().zip(&results) {
+        for (u, r) in &cells {
             single.absorb(u, r);
         }
         let mut left = FleetReducer::new();
         let mut right = FleetReducer::new();
-        for (i, (u, r)) in batch.specs().iter().zip(&results).enumerate() {
+        for (i, (u, r)) in cells.iter().enumerate() {
             if i < 3 {
                 left.absorb(u, r);
             } else {
                 right.absorb(u, r);
             }
         }
-        left.merge(&right);
-
-        let a = single.finalize();
-        let b = left.finalize();
-        assert_eq!(a.users, b.users);
-        assert_eq!(a.segments, b.segments);
-        assert_eq!(a.arrivals_by_hour, b.arrivals_by_hour);
-        assert_eq!(a.qoe_tail, b.qoe_tail, "histograms merge exactly");
-        assert_eq!(a.energy_tail, b.energy_tail);
-        // Floating-point sums agree up to round-off.
-        assert!((a.mean_qoe - b.mean_qoe).abs() < 1e-9);
-        assert!((a.mean_energy_j - b.mean_energy_j).abs() < 1e-6);
-        // Engine smoke: the full run agrees with the hand fold exactly
-        // (same order, same batches).
-        let via_engine = engine.run(&spec, &ExecPolicy::Sequential);
-        assert_eq!(via_engine, a);
+        right.merge(&left);
+        assert_eq!(right, single, "merge is exact");
+        assert_eq!(right.finalize(), single.finalize());
+        assert_eq!(
+            FleetEngine::paper().run(&spec, &ExecPolicy::Sequential),
+            single.finalize()
+        );
     }
 
+    /// Policy: every `jobs` width, cached or not. Batch: users folded in
+    /// contiguous batches of any size, one reducer per batch, merged.
     #[test]
     fn aggregate_is_policy_and_batch_invariant() {
         let spec = tiny_spec(10);
-        let seq = FleetEngine::paper().batch_size(4).run(&spec, &ExecPolicy::Sequential);
-        let par = FleetEngine::paper()
-            .batch_size(4)
-            .run(&spec, &ExecPolicy::Parallel { jobs: 3 });
-        assert_eq!(seq, par, "parallel aggregates must equal sequential");
-        assert_eq!(seq.render(), par.render());
-        let other_batch = FleetEngine::paper().batch_size(7).run(&spec, &ExecPolicy::Sequential);
-        assert_eq!(seq, other_batch, "batch size must not leak into the aggregate");
+        let seq = FleetEngine::paper().run(&spec, &ExecPolicy::Sequential);
+        for jobs in [2, 3, 4] {
+            let par = FleetEngine::paper().run(&spec, &ExecPolicy::Parallel { jobs });
+            assert_eq!(seq, par, "jobs={jobs} must equal sequential");
+            assert_eq!(seq.render(), par.render());
+        }
+        let dir = std::env::temp_dir().join(format!("ecas-fleet-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for jobs in [3, 1] {
+            let policy = ExecPolicy::cached(&dir, ExecPolicy::Parallel { jobs });
+            let cached = FleetEngine::paper().run(&spec, &policy);
+            assert_eq!(seq, cached, "cached jobs={jobs}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        let cells = run_cells(&spec);
+        for batch in [1, 3, 7] {
+            let mut fleet = FleetReducer::new();
+            for chunk in cells.chunks(batch) {
+                let mut reducer = FleetReducer::new();
+                for (u, r) in chunk {
+                    reducer.absorb(u, r);
+                }
+                fleet.merge(&reducer);
+            }
+            assert_eq!(fleet.finalize(), seq, "batch={batch}");
+        }
+    }
+
+    #[test]
+    fn empty_fleet_reports_zeros() {
+        let report = FleetEngine::paper().run(&tiny_spec(0), &ExecPolicy::Parallel { jobs: 3 });
+        assert_eq!(report, FleetReducer::new().finalize());
+        assert_eq!(report.users, 0);
+        assert_eq!(report.mean_qoe, 0.0);
+        assert_eq!(report.downloaded_mb.value(), 0.0);
+        assert!(report.render().starts_with("fleet users=0\n"));
+    }
+
+    #[test]
+    fn unusable_cache_dir_degrades_to_uncached_misses() {
+        let root = std::env::temp_dir().join(format!("ecas-fleet-blocked-{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        let blocker = root.join("file");
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let spec = tiny_spec(5);
+        let engine = FleetEngine::paper();
+        let policy = ExecPolicy::cached(blocker.join("cache"), ExecPolicy::Parallel { jobs: 2 });
+        let report = engine.run(&spec, &policy);
+        let uncached = FleetEngine::paper().run(&spec, &ExecPolicy::Sequential);
+        assert_eq!(report, uncached);
+        let stats = engine.stats();
+        let counts = (stats.hits, stats.misses, stats.write_errors);
+        assert_eq!(counts, (0, 5, 1), "{stats:?}");
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn report_is_populated_and_consistent() {
         let spec = tiny_spec(12);
-        let report = FleetEngine::paper().batch_size(5).run(&spec, &ExecPolicy::parallel());
+        let report = FleetEngine::paper().run(&spec, &ExecPolicy::parallel());
         assert_eq!(report.users, 12);
         assert!(report.segments > 0);
         assert!(report.mean_qoe > 0.0);
@@ -904,5 +1087,75 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         let back: FleetReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
+    }
+
+    /// An f64 of any sign across a wide exponent range.
+    fn wide(mantissa: f64, exponent: i32) -> f64 {
+        mantissa * 2f64.powi(exponent)
+    }
+
+    /// Sums `values` by splitting them at seeded points into a random
+    /// binary tree of reducers, merged bottom-up.
+    fn tree_sum(values: &[f64], seed: u64) -> ExactSum {
+        if values.len() <= 1 {
+            return exact(values);
+        }
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let cut = rng.gen_range(0..=values.len());
+        let (a, b) = values.split_at(cut);
+        if a.is_empty() || b.is_empty() {
+            return exact(values);
+        }
+        let mut left = tree_sum(a, rng.gen_range(0..u64::MAX));
+        left.merge(&tree_sum(b, rng.gen_range(0..u64::MAX)));
+        left
+    }
+
+    proptest! {
+        #[test]
+        fn exact_sum_is_order_and_merge_free(
+            terms in proptest::collection::vec((-1.0f64..1.0, -300i32..300, 0u8..4), 0..40),
+            seed in 0u64..u64::MAX,
+        ) {
+            // Every fourth-ish term also appears negated, so totals cancel
+            // catastrophically.
+            let mut values: Vec<f64> = Vec::new();
+            for &(m, e, kind) in &terms {
+                values.push(wide(m, e));
+                if kind == 0 {
+                    values.push(-wide(m, e));
+                }
+            }
+            let reference = exact(&values).value();
+            let mut reversed = values.clone();
+            reversed.reverse();
+            prop_assert_eq!(exact(&reversed).value().to_bits(), reference.to_bits());
+            let mut shuffled = values.clone();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            prop_assert_eq!(exact(&shuffled).value().to_bits(), reference.to_bits());
+            prop_assert_eq!(tree_sum(&shuffled, seed).value().to_bits(), reference.to_bits());
+        }
+
+        #[test]
+        fn exact_sum_rounds_the_exact_total(
+            units in proptest::collection::vec(-(1i64 << 62)..(1i64 << 62), 0..40),
+        ) {
+            // Multiples of 2^-40 below 2^22 in magnitude: their exact
+            // total fits an i128 count of 2^-40 units, and `as f64`
+            // rounds that count to nearest, ties to even.
+            let scale = 2f64.powi(-40);
+            let mut total: i128 = 0;
+            let mut values = Vec::new();
+            for &u in &units {
+                let whole = u as f64;
+                total += whole as i128;
+                values.push(whole * scale);
+            }
+            let expected = total as f64 * scale;
+            prop_assert_eq!(exact(&values).value().to_bits(), expected.to_bits());
+        }
     }
 }

@@ -1,15 +1,15 @@
 //! The shared ordered work-stealing pool.
 //!
-//! Extracted from `SweepEngine::execute_parallel` so every bulk
-//! executor in this crate — the sweep grid, the fleet batches riding on
-//! it, and the record-corpus subsystem (batch recording and parallel
-//! corpus verification) — schedules work the same way: a next-index
-//! counter hands items to workers as they free up, each worker hands
-//! back its `(index, result)` pairs when it joins, and the pairs are
-//! sorted by index, so the output order always matches a sequential run
-//! regardless of completion order. That order stability
+//! Every bulk executor in this crate — the sweep grid, the fleet's
+//! per-worker shards, and the record-corpus subsystem (batch recording
+//! and parallel corpus verification) — schedules work the same way: a
+//! next-index counter hands items to workers as they free up, each
+//! worker hands back its `(index, result)` pairs when it joins, and the
+//! pairs are sorted by index, so the output order always matches a
+//! sequential run regardless of completion order. That order stability
 //! is what the workspace's byte-identity guarantees (sweep results,
-//! fleet reports, corpus verify summaries) are built on.
+//! corpus verify summaries) are built on; fleet reports need no order,
+//! because their shard reducers merge exactly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

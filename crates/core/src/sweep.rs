@@ -11,10 +11,11 @@
 //! * [`ExecPolicy::Cached`] — serve each cell from an on-disk JSONL cache
 //!   keyed by a stable FNV-1a content hash of everything that determines
 //!   the result (simulator config, ladder, η, fault spec, the full session
-//!   trace, the controller), falling back to the wrapped policy for
-//!   misses. Cache entries are versioned and *never trusted*: any parse or
-//!   validation failure counts as [`CacheStats::corrupt`] and the cell is
-//!   recomputed and rewritten.
+//!   trace, the controller), at the wrapped policy's pool width: each
+//!   worker looks its cell up, computes it on a miss and stores it. Cache
+//!   entries are versioned and *never trusted*: any parse or validation
+//!   failure counts as [`CacheStats::corrupt`] and the cell is recomputed
+//!   and rewritten.
 //!
 //! The cache key covers the complete cell input, so invalidation is
 //! automatic: change the seed, the player config, η or the fault spec and
@@ -28,7 +29,7 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use ecas_obs::{names, perf, stable_hash, JsonlRecorder, MetricsRegistry};
 use ecas_sim::controller::FixedLevel;
@@ -65,11 +66,12 @@ pub enum ExecPolicy {
         /// Worker count; `0` means one worker per available core.
         jobs: usize,
     },
-    /// Serve cells from `dir`, computing misses under `policy`.
+    /// Serve cells from `dir`, at the pool width of `policy`.
     Cached {
         /// The cache directory (created on first use).
         dir: PathBuf,
-        /// The policy used to compute cache misses.
+        /// The policy whose width the cells run at (a nested cache
+        /// directory is not consulted).
         policy: Box<ExecPolicy>,
     },
 }
@@ -104,6 +106,19 @@ impl ExecPolicy {
         match cache_dir {
             Some(dir) => ExecPolicy::cached(dir, inner),
             None => inner,
+        }
+    }
+
+    /// The worker-pool width cells run at: `1` for
+    /// [`Sequential`](ExecPolicy::Sequential), `jobs` for
+    /// [`Parallel`](ExecPolicy::Parallel) (`0` = one worker per core), the
+    /// inner policy's width for [`Cached`](ExecPolicy::Cached).
+    #[must_use]
+    pub fn width(&self) -> usize {
+        match self {
+            ExecPolicy::Sequential => 1,
+            ExecPolicy::Parallel { jobs } => *jobs,
+            ExecPolicy::Cached { policy, .. } => policy.width(),
         }
     }
 
@@ -191,7 +206,23 @@ impl Cell {
 #[derive(Debug, Clone, Copy)]
 struct Job<'a> {
     session: &'a SessionTrace,
+    /// The session's content hash, computed by the first cached cell
+    /// that needs it and shared by the session's other cells.
+    hash: &'a OnceLock<String>,
     cell: Cell,
+}
+
+/// Where a cell's cache lookups and stores go, resolved once per
+/// execution by [`SweepEngine::open_cache`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum CellCache<'a> {
+    /// The policy does not cache.
+    Off,
+    /// The cache directory could not be created: every cell is a miss
+    /// and nothing is stored.
+    Unusable,
+    /// Look cells up in, and store them under, this directory.
+    Dir(&'a Path),
 }
 
 /// The parts of a cache key shared by every cell of one engine.
@@ -265,6 +296,7 @@ pub struct SweepEngine {
     runner: ExperimentRunner,
     registry: Option<Arc<MetricsRegistry>>,
     stats: Mutex<CacheStats>,
+    key_context: OnceLock<KeyContext>,
 }
 
 impl SweepEngine {
@@ -275,6 +307,7 @@ impl SweepEngine {
             runner,
             registry: None,
             stats: Mutex::new(CacheStats::default()),
+            key_context: OnceLock::new(),
         }
     }
 
@@ -307,11 +340,14 @@ impl SweepEngine {
         approaches: &[Approach],
         policy: &ExecPolicy,
     ) -> Vec<SessionResult> {
+        let hashes = session_hashes(sessions);
         let jobs: Vec<Job<'_>> = sessions
             .iter()
-            .flat_map(|s| {
+            .zip(&hashes)
+            .flat_map(|(session, hash)| {
                 approaches.iter().map(move |a| Job {
-                    session: s,
+                    session,
+                    hash,
                     cell: Cell::Approach(*a),
                 })
             })
@@ -335,15 +371,19 @@ impl SweepEngine {
         approaches: &[Approach],
         policy: &ExecPolicy,
     ) -> ComparisonSummary {
+        let hashes = session_hashes(sessions);
         let jobs: Vec<Job<'_>> = sessions
             .iter()
-            .flat_map(|s| {
+            .zip(&hashes)
+            .flat_map(|(session, hash)| {
                 std::iter::once(Job {
-                    session: s,
+                    session,
+                    hash,
                     cell: Cell::BaseEnergy,
                 })
                 .chain(approaches.iter().map(move |a| Job {
-                    session: s,
+                    session,
+                    hash,
                     cell: Cell::Approach(*a),
                 }))
             })
@@ -372,6 +412,7 @@ impl SweepEngine {
     pub fn base_energy(&self, session: &SessionTrace, policy: &ExecPolicy) -> Joules {
         let job = Job {
             session,
+            hash: &OnceLock::new(),
             cell: Cell::BaseEnergy,
         };
         self.execute(std::slice::from_ref(&job), policy)
@@ -403,17 +444,13 @@ impl SweepEngine {
     ) -> io::Result<(SessionResult, EventLog)> {
         let job = Job {
             session,
+            hash: &OnceLock::new(),
             cell: Cell::Approach(*approach),
         };
         let cache = match cache_dir {
             Some(dir) => {
                 fs::create_dir_all(dir)?;
-                let key = self
-                    .keys_for(std::slice::from_ref(&job), true)
-                    .into_iter()
-                    .next()
-                    .unwrap_or_default();
-                Some((dir, key))
+                Some((dir, self.key(&job, true)))
             }
             None => None,
         };
@@ -469,18 +506,25 @@ impl SweepEngine {
         }
     }
 
+    /// Runs every job through [`Self::cell`] on the shared pool
+    /// ([`crate::pool`]) at the policy's width; results come back in job
+    /// order whatever the width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker thread panics.
     fn execute(&self, jobs: &[Job<'_>], policy: &ExecPolicy) -> Vec<SessionResult> {
+        if jobs.is_empty() {
+            return Vec::new();
+        }
         // The engine is a sanctioned wall-clock seam (see ecas-obs's perf
         // module): when a registry is attached, each grid execution
         // records its span and the derived simulated-seconds-per-
         // core-second throughput gauge. Metrics only — the deterministic
         // event stream never sees the clock.
         let watch = self.registry.as_ref().map(|_| perf::Stopwatch::start());
-        let results = match policy {
-            ExecPolicy::Sequential => jobs.iter().map(|j| self.compute(j)).collect(),
-            ExecPolicy::Parallel { jobs: n } => self.execute_parallel(jobs, *n),
-            ExecPolicy::Cached { dir, policy } => self.execute_cached(jobs, dir, policy),
-        };
+        let cache = self.open_cache(policy);
+        let results = pool::run_ordered(jobs, policy.width(), |job| self.cell(job, cache));
         if let (Some(watch), Some(registry)) = (watch, &self.registry) {
             registry.record_span(names::SWEEP_EXECUTE_SPAN, watch.elapsed_nanos());
             let sim: Seconds = jobs.iter().map(|j| j.session.meta().video_length).sum();
@@ -492,135 +536,110 @@ impl SweepEngine {
         results
     }
 
-    /// The shared worker pool ([`crate::pool`]): a next-index counter
-    /// hands jobs to workers as they free up; each result lands in its
-    /// preassigned slot, so the output order matches
-    /// [`ExecPolicy::Sequential`] exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics.
-    fn execute_parallel(&self, jobs: &[Job<'_>], requested: usize) -> Vec<SessionResult> {
-        pool::run_ordered(jobs, requested, |job| self.compute(job))
+    /// Resolves where `policy`'s cells are cached, creating the cache
+    /// directory once. A directory that cannot be created counts one
+    /// write error and degrades to plain computation.
+    pub(crate) fn open_cache<'p>(&self, policy: &'p ExecPolicy) -> CellCache<'p> {
+        match policy.cache_dir() {
+            None => CellCache::Off,
+            Some(dir) if fs::create_dir_all(dir).is_ok() => CellCache::Dir(dir),
+            Some(_) => {
+                self.note_write_error();
+                CellCache::Unusable
+            }
+        }
     }
 
-    fn execute_cached(&self, jobs: &[Job<'_>], dir: &Path, inner: &ExecPolicy) -> Vec<SessionResult> {
-        if jobs.is_empty() {
-            return Vec::new();
+    /// One `(session, approach)` cell through `cache`: the per-cell step
+    /// of [`Self::run_grid`], for callers that produce sessions one at a
+    /// time.
+    pub(crate) fn run_cell(
+        &self,
+        session: &SessionTrace,
+        approach: Approach,
+        cache: CellCache<'_>,
+    ) -> SessionResult {
+        let job = Job {
+            session,
+            hash: &OnceLock::new(),
+            cell: Cell::Approach(approach),
+        };
+        self.cell(&job, cache)
+    }
+
+    /// The whole life of one cell: look it up (`.jsonl` entry, then a
+    /// recorded `.ecasr` reference), count the hit, miss or corrupt
+    /// entry, and on a miss compute it and store it.
+    fn cell(&self, job: &Job<'_>, cache: CellCache<'_>) -> SessionResult {
+        let dir = match cache {
+            CellCache::Off => return self.compute(job),
+            CellCache::Unusable => {
+                self.note_miss();
+                return self.compute(job);
+            }
+            CellCache::Dir(dir) => dir,
+        };
+        let key = self.key(job, false);
+        match self.load(dir, &key, job, false) {
+            Lookup::Hit(entry) => {
+                self.note_hit();
+                return entry.result;
+            }
+            Lookup::Record(result) => {
+                self.note_record_hit();
+                return *result;
+            }
+            Lookup::Absent => {}
+            Lookup::Corrupt => self.note_corrupt(),
         }
-        let dir_ok = fs::create_dir_all(dir).is_ok();
-        if !dir_ok {
-            // Degrade to plain computation: one write error for the
-            // unusable directory, every cell a miss.
+        self.note_miss();
+        let result = self.compute(job);
+        if self.store(dir, &key, job, &result, None).is_err() {
             self.note_write_error();
         }
-        let keys = self.keys_for(jobs, false);
-        let mut slots: Vec<Option<SessionResult>> = jobs
-            .iter()
-            .zip(&keys)
-            .map(|(job, key)| {
-                if !dir_ok {
-                    return None;
-                }
-                match self.load(dir, key, job, false) {
-                    Lookup::Hit(entry) => {
-                        self.note_hit();
-                        Some(entry.result)
-                    }
-                    Lookup::Record(result) => {
-                        self.note_record_hit();
-                        Some(*result)
-                    }
-                    Lookup::Absent => None,
-                    Lookup::Corrupt => {
-                        self.note_corrupt();
-                        None
-                    }
-                }
-            })
-            .collect();
-
-        let missing: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.is_none().then_some(i))
-            .collect();
-        for _ in &missing {
-            self.note_miss();
-        }
-        let miss_jobs: Vec<Job<'_>> = missing
-            .iter()
-            .filter_map(|&i| jobs.get(i).copied())
-            .collect();
-        let computed = self.execute(&miss_jobs, inner);
-        for (&slot_idx, result) in missing.iter().zip(computed) {
-            if dir_ok {
-                if let (Some(job), Some(key)) = (jobs.get(slot_idx), keys.get(slot_idx)) {
-                    if self.store(dir, key, job, &result, None).is_err() {
-                        self.note_write_error();
-                    }
-                }
-            }
-            if let Some(slot) = slots.get_mut(slot_idx) {
-                *slot = Some(result);
-            }
-        }
-        slots
-            .into_iter()
-            // ecas-lint: allow(panic-safety, reason = "every index is either a hit or appears in `missing` and is filled from the computed batch; an empty slot is an engine bug worth crashing on")
-            .map(|r| r.expect("every sweep slot filled"))
-            .collect()
+        result
     }
 
     // ---------------------------------------------------------------- //
     // Cache keys
     // ---------------------------------------------------------------- //
 
-    fn key_context(&self) -> KeyContext {
-        let sim = self.runner.simulator();
-        let ladder = sim.ladder();
-        KeyContext {
-            crate_version: env!("CARGO_PKG_VERSION").to_string(),
-            eta: self.runner.eta(),
-            config_hash: format!("{:016x}", stable_hash(sim.config())),
-            ladder: (0..ladder.len())
-                .map(|i| ladder.bitrate(LevelIndex::new(i)).value())
-                .collect(),
-            fault: sim.faults().copied(),
-        }
+    /// The parts of every cell key this engine shares, computed once.
+    fn key_context(&self) -> &KeyContext {
+        self.key_context.get_or_init(|| {
+            let sim = self.runner.simulator();
+            let ladder = sim.ladder();
+            KeyContext {
+                crate_version: env!("CARGO_PKG_VERSION").to_string(),
+                eta: self.runner.eta(),
+                config_hash: format!("{:016x}", stable_hash(sim.config())),
+                ladder: (0..ladder.len())
+                    .map(|i| ladder.bitrate(LevelIndex::new(i)).value())
+                    .collect(),
+                fault: sim.faults().copied(),
+            }
+        })
     }
 
-    /// One cache key per job. The full session trace is content-hashed
-    /// once per distinct session (jobs arrive sessions-major, so a
-    /// single-entry memo suffices).
-    fn keys_for(&self, jobs: &[Job<'_>], observed: bool) -> Vec<String> {
+    /// A job's cache key. The session trace is content-hashed at most
+    /// once, however many cells share it.
+    fn key(&self, job: &Job<'_>, observed: bool) -> String {
         let ctx = self.key_context();
-        let mut memo: Option<(*const SessionTrace, String)> = None;
-        jobs.iter()
-            .map(|job| {
-                let ptr: *const SessionTrace = job.session;
-                let session_hash = match &memo {
-                    Some((p, h)) if std::ptr::eq(*p, ptr) => h.clone(),
-                    _ => {
-                        let h = format!("{:016x}", stable_hash(job.session));
-                        memo = Some((ptr, h.clone()));
-                        h
-                    }
-                };
-                let key = CellKey {
-                    format: CACHE_FORMAT,
-                    crate_version: ctx.crate_version.clone(),
-                    eta: ctx.eta,
-                    config_hash: ctx.config_hash.clone(),
-                    ladder_mbps: ctx.ladder.clone(),
-                    fault: ctx.fault,
-                    controller: job.cell.label().to_string(),
-                    session: session_hash,
-                    observed,
-                };
-                format!("{:016x}", stable_hash(&key))
-            })
-            .collect()
+        let session = job
+            .hash
+            .get_or_init(|| format!("{:016x}", stable_hash(job.session)));
+        let key = CellKey {
+            format: CACHE_FORMAT,
+            crate_version: ctx.crate_version.clone(),
+            eta: ctx.eta,
+            config_hash: ctx.config_hash.clone(),
+            ladder_mbps: ctx.ladder.clone(),
+            fault: ctx.fault,
+            controller: job.cell.label().to_string(),
+            session: session.clone(),
+            observed,
+        };
+        format!("{:016x}", stable_hash(&key))
     }
 
     // ---------------------------------------------------------------- //
@@ -743,6 +762,11 @@ impl SweepEngine {
     }
 }
 
+/// One empty hash slot per session, for the jobs of a grid to share.
+fn session_hashes(sessions: &[SessionTrace]) -> Vec<OnceLock<String>> {
+    sessions.iter().map(|_| OnceLock::new()).collect()
+}
+
 fn entry_path(dir: &Path, key: &str) -> PathBuf {
     dir.join(format!("{key}.jsonl"))
 }
@@ -857,6 +881,73 @@ mod tests {
     }
 
     #[test]
+    fn width_follows_the_inner_policy() {
+        assert_eq!(ExecPolicy::Sequential.width(), 1);
+        assert_eq!(ExecPolicy::Parallel { jobs: 3 }.width(), 3);
+        assert_eq!(ExecPolicy::parallel().width(), 0, "0 = one worker per core");
+        let cached = ExecPolicy::cached("/tmp/c", ExecPolicy::Parallel { jobs: 5 });
+        assert_eq!(cached.width(), 5);
+        let sequential = ExecPolicy::cached("/tmp/c", ExecPolicy::Sequential);
+        assert_eq!(sequential.width(), 1);
+    }
+
+    #[test]
+    fn unusable_cache_dir_counts_one_write_error_and_every_cell_a_miss() {
+        let root = temp_dir("unusable");
+        fs::create_dir_all(&root).unwrap();
+        let blocker = root.join("file");
+        fs::write(&blocker, b"not a directory").unwrap();
+        let policy = ExecPolicy::cached(blocker.join("cache"), ExecPolicy::Parallel { jobs: 2 });
+        let sessions = sessions();
+        let approaches = [Approach::Youtube, Approach::Ours, Approach::Bba];
+        let engine = SweepEngine::new(ExperimentRunner::paper());
+        let results = engine.run_grid(&sessions, &approaches, &policy);
+        assert_eq!(
+            results,
+            engine.run_grid(&sessions, &approaches, &ExecPolicy::Sequential)
+        );
+        let stats = engine.stats();
+        let counts = (stats.hits, stats.misses, stats.write_errors);
+        assert_eq!(counts, (0, 3, 1), "{stats:?}");
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn pool_workers_fill_and_serve_their_own_cells() {
+        let dir = temp_dir("pool-cells");
+        let sessions = vec![
+            sessions().remove(0),
+            SessionGenerator::new(
+                "sweep-test-2",
+                ContextSchedule::constant(Context::QuietRoom),
+                Seconds::new(30.0),
+                6,
+            )
+            .generate(),
+        ];
+        let approaches = Approach::paper_set();
+        let uncached = SweepEngine::new(ExperimentRunner::paper());
+        let expected = uncached.comparison(&sessions, &approaches, &ExecPolicy::Sequential);
+
+        // Cold at width 3: every cell (base energy included) is a miss
+        // and is stored by the worker that computed it.
+        let cold = SweepEngine::new(ExperimentRunner::paper());
+        let policy = ExecPolicy::cached(&dir, ExecPolicy::Parallel { jobs: 3 });
+        assert_eq!(cold.comparison(&sessions, &approaches, &policy), expected);
+        let cells = sessions.len() as u64 * (approaches.len() as u64 + 1);
+        assert_eq!(cold.stats().misses, cells);
+        assert_eq!(fs::read_dir(&dir).unwrap().count() as u64, cells);
+
+        // Warm at width 1: all of them are hits.
+        let warm = SweepEngine::new(ExperimentRunner::paper());
+        let policy = ExecPolicy::cached(&dir, ExecPolicy::Sequential);
+        assert_eq!(warm.comparison(&sessions, &approaches, &policy), expected);
+        assert!(warm.stats().all_hits());
+        assert_eq!(warm.stats().hits, cells);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn cold_then_warm_cache_round_trip() {
         let dir = temp_dir("roundtrip");
         let sessions = sessions();
@@ -923,9 +1014,10 @@ mod tests {
         let sessions = sessions();
         let job = Job {
             session: &sessions[0],
+            hash: &OnceLock::new(),
             cell: Cell::Approach(Approach::Ours),
         };
-        let key = engine.keys_for(std::slice::from_ref(&job), false).remove(0);
+        let key = engine.key(&job, false);
         let result = engine
             .run_grid(&sessions, &[Approach::Ours], &ExecPolicy::Sequential)
             .remove(0);
@@ -1003,6 +1095,7 @@ mod tests {
         assert!(matches!(
             engine.load(&dir, &key, &Job {
                 session: &sessions[0],
+                hash: &OnceLock::new(),
                 cell: Cell::Approach(Approach::Ours),
             }, true),
             Lookup::Absent
@@ -1069,15 +1162,15 @@ mod tests {
         let sessions = sessions();
         let job = Job {
             session: &sessions[0],
+            hash: &OnceLock::new(),
             cell: Cell::Approach(Approach::Ours),
         };
-        let jobs = std::slice::from_ref(&job);
-        let base = engine.keys_for(jobs, false);
-        assert_eq!(engine.keys_for(jobs, false), base, "keys must be stable");
-        assert_ne!(engine.keys_for(jobs, true), base, "observed flag must key");
+        let base = engine.key(&job, false);
+        assert_eq!(engine.key(&job, false), base, "keys must be stable");
+        assert_ne!(engine.key(&job, true), base, "observed flag must key");
 
         let other_eta = SweepEngine::new(ExperimentRunner::paper_with_eta(0.9));
-        assert_ne!(other_eta.keys_for(jobs, false), base, "eta must key");
+        assert_ne!(other_eta.key(&job, false), base, "eta must key");
 
         let faulty = SweepEngine::new(ExperimentRunner::new(
             ExperimentRunner::paper()
@@ -1086,17 +1179,14 @@ mod tests {
                 .with_faults(FaultSpec::scaled(0.5, 7)),
             0.5,
         ));
-        assert_ne!(faulty.keys_for(jobs, false), base, "fault spec must key");
+        assert_ne!(faulty.key(&job, false), base, "fault spec must key");
 
         let youtube_job = Job {
             session: &sessions[0],
+            hash: &OnceLock::new(),
             cell: Cell::Approach(Approach::Youtube),
         };
-        assert_ne!(
-            engine.keys_for(std::slice::from_ref(&youtube_job), false),
-            base,
-            "controller must key"
-        );
+        assert_ne!(engine.key(&youtube_job, false), base, "controller must key");
     }
 
     #[test]

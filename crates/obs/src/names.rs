@@ -45,15 +45,12 @@ pub const PERF_SWEEP_SESS_S_PER_CORE_S: &str = "perf/sweep_sess_s_per_core_s";
 
 // ---------------------------------------------------------- fleet engine
 //
-// The fleet population engine (see `ecas-core`'s `fleet` module) streams
-// batches of synthesized users through the sweep pool; these counters
-// expose its progress without materializing per-session state.
+// The fleet population engine (see `ecas-core`'s `fleet` module) maps
+// users one at a time over the worker pool; these counters expose its
+// progress without materializing per-session state.
 
 /// A fleet user's session was simulated and folded into the reducer.
 pub const FLEET_USERS: &str = "fleet/users";
-/// A bounded-memory fleet batch completed (synthesis + simulation +
-/// reduction).
-pub const FLEET_BATCHES: &str = "fleet/batches";
 /// Wall-clock span around one full fleet run.
 pub const FLEET_EXECUTE_SPAN: &str = "fleet/execute";
 
@@ -182,7 +179,6 @@ pub const ALL: &[&str] = &[
     SWEEP_EXECUTE_SPAN,
     PERF_SWEEP_SESS_S_PER_CORE_S,
     FLEET_USERS,
-    FLEET_BATCHES,
     FLEET_EXECUTE_SPAN,
     ORACLE_REPLAY_PASS,
     ORACLE_REPLAY_FAIL,

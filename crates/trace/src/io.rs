@@ -1,15 +1,29 @@
-//! Trace serialization: JSON, CSV and a compact binary format.
+//! Trace serialization: JSON and CSV.
 //!
-//! The codec surface for whole [`SessionTrace`] bundles is the
-//! [`TraceFormat`] enum plus four `SessionTrace` methods defined here:
+//! Whole [`SessionTrace`] bundles travel as pretty-printed JSON, the
+//! interchange format, through four `SessionTrace` methods defined here:
 //!
 //! * [`SessionTrace::read_from`] / [`SessionTrace::write_to`] move a
-//!   trace through any `Read` / `Write` in an explicit [`TraceFormat`]
-//!   (`Json` for interchange, `Binary` — `ECAS` magic + version — for
-//!   large archives);
+//!   trace through any `Read` / `Write`;
 //! * [`SessionTrace::load`] / [`SessionTrace::save`] do the same against
-//!   a path, autodetecting the format from the extension via
-//!   [`TraceFormat::from_path`].
+//!   a path.
+//!
+//! The one binary format is the ECASR session record
+//! ([`crate::record`]), which regenerates its trace from a recipe.
+//!
+//! ```
+//! use ecas_trace::synth::context::{Context, ContextSchedule};
+//! use ecas_trace::synth::SessionGenerator;
+//! use ecas_trace::SessionTrace;
+//! use ecas_types::units::Seconds;
+//!
+//! let schedule = ContextSchedule::constant(Context::Walking);
+//! let trace = SessionGenerator::new("walk", schedule, Seconds::new(10.0), 1).generate();
+//! let mut json = Vec::new();
+//! trace.write_to(&mut json)?;
+//! assert_eq!(SessionTrace::read_from(json.as_slice())?, trace);
+//! # Ok::<(), ecas_trace::TraceIoError>(())
+//! ```
 //!
 //! CSV ([`write_csv`] / [`read_csv`]) handles individual channels in a
 //! spreadsheet-friendly layout, and [`read_mahimahi`] imports external
@@ -23,17 +37,11 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use ecas_types::units::{Dbm, Mbps, MegaBytes, MetersPerSec2, Seconds, Watts};
+use ecas_types::units::{Dbm, Mbps, Seconds, Watts};
 
-use crate::record::wire::Reader;
 use crate::sample::{AccelSample, NetworkSample, PowerSample, SignalSample};
 use crate::series::{TimeSeries, Timestamped};
-use crate::session::{SessionTrace, TraceMeta};
-
-/// Magic prefix of the binary trace format.
-pub(crate) const BINARY_MAGIC: &[u8; 4] = b"ECAS";
-/// Current version of the binary trace format.
-pub(crate) const BINARY_VERSION: u8 = 1;
+use crate::session::SessionTrace;
 
 /// Error produced by trace I/O.
 #[derive(Debug)]
@@ -78,120 +86,46 @@ impl From<serde_json::Error> for TraceIoError {
     }
 }
 
-/// The on-disk encodings a [`SessionTrace`] bundle supports.
-///
-/// # Examples
-///
-/// ```
-/// use ecas_trace::io::TraceFormat;
-///
-/// assert_eq!(TraceFormat::from_path("walk.bin"), TraceFormat::Binary);
-/// assert_eq!(TraceFormat::from_path("walk.json"), TraceFormat::Json);
-/// assert_eq!(TraceFormat::from_path("no-extension"), TraceFormat::Json);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// Pretty-printed JSON — the human-readable interchange format.
-    Json,
-    /// The compact little-endian binary format (`ECAS` magic + version).
-    Binary,
-}
-
-impl TraceFormat {
-    /// Picks the format from a path's extension: `.bin` means
-    /// [`TraceFormat::Binary`], everything else (including no extension)
-    /// is [`TraceFormat::Json`].
-    #[must_use]
-    pub fn from_path<P: AsRef<Path>>(path: P) -> Self {
-        match path.as_ref().extension().and_then(|e| e.to_str()) {
-            Some("bin") => TraceFormat::Binary,
-            _ => TraceFormat::Json,
-        }
-    }
-
-    /// Short lowercase label ("json" / "binary").
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            TraceFormat::Json => "json",
-            TraceFormat::Binary => "binary",
-        }
-    }
-}
-
-impl fmt::Display for TraceFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-fn write_json<W: Write>(writer: W, session: &SessionTrace) -> Result<(), TraceIoError> {
-    serde_json::to_writer_pretty(writer, session)?;
-    Ok(())
-}
-
-fn read_json<R: Read>(reader: R) -> Result<SessionTrace, TraceIoError> {
-    Ok(serde_json::from_reader(reader)?)
-}
-
 impl SessionTrace {
-    /// Reads a trace from `reader` in the given `format`.
+    /// Reads a JSON trace from `reader`.
     ///
     /// # Errors
     ///
     /// Returns [`TraceIoError`] on I/O failure or a malformed payload
     /// (including out-of-order samples).
-    pub fn read_from<R: Read>(mut reader: R, format: TraceFormat) -> Result<Self, TraceIoError> {
-        match format {
-            TraceFormat::Json => read_json(reader),
-            TraceFormat::Binary => {
-                let mut data = Vec::new();
-                reader.read_to_end(&mut data)?;
-                decode_binary(&data)
-            }
-        }
+    pub fn read_from<R: Read>(reader: R) -> Result<Self, TraceIoError> {
+        Ok(serde_json::from_reader(reader)?)
     }
 
-    /// Writes the trace to `writer` in the given `format`.
+    /// Writes the trace to `writer` as pretty-printed JSON.
     ///
     /// # Errors
     ///
     /// Returns [`TraceIoError`] on I/O or serialization failure.
-    pub fn write_to<W: Write>(&self, mut writer: W, format: TraceFormat) -> Result<(), TraceIoError> {
-        match format {
-            TraceFormat::Json => write_json(writer, self),
-            TraceFormat::Binary => {
-                writer.write_all(&encode_binary(self))?;
-                Ok(())
-            }
-        }
+    pub fn write_to<W: Write>(&self, writer: W) -> Result<(), TraceIoError> {
+        serde_json::to_writer_pretty(writer, self)?;
+        Ok(())
     }
 
-    /// Loads a trace from `path`, autodetecting the format from the
-    /// extension ([`TraceFormat::from_path`]).
+    /// Loads a JSON trace from `path`.
     ///
     /// # Errors
     ///
     /// Returns [`TraceIoError`] when the file cannot be opened or its
     /// payload is malformed.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, TraceIoError> {
-        let format = TraceFormat::from_path(&path);
-        let file = File::open(path)?;
-        Self::read_from(BufReader::new(file), format)
+        Self::read_from(BufReader::new(File::open(path)?))
     }
 
-    /// Saves the trace to `path`, autodetecting the format from the
-    /// extension ([`TraceFormat::from_path`]).
+    /// Saves the trace to `path` as pretty-printed JSON.
     ///
     /// # Errors
     ///
     /// Returns [`TraceIoError`] when the file cannot be created or
     /// written.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), TraceIoError> {
-        let format = TraceFormat::from_path(&path);
-        let file = File::create(path)?;
-        let mut writer = BufWriter::new(file);
-        self.write_to(&mut writer, format)?;
+        let mut writer = BufWriter::new(File::create(path)?);
+        self.write_to(&mut writer)?;
         writer.flush()?;
         Ok(())
     }
@@ -356,171 +290,6 @@ where
     TimeSeries::new(samples).map_err(|e| TraceIoError::Corrupt(e.to_string()))
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Reads `N` bytes; on short input the error names `what` was truncated.
-fn get_array<const N: usize>(
-    r: &mut Reader<'_>,
-    what: &'static str,
-) -> Result<[u8; N], TraceIoError> {
-    r.array(what)
-        .map_err(|_| TraceIoError::Corrupt(format!("truncated {what}")))
-}
-
-fn get_f64(r: &mut Reader<'_>, what: &'static str) -> Result<f64, TraceIoError> {
-    get_array(r, what).map(f64::from_le_bytes)
-}
-
-fn get_string(r: &mut Reader<'_>) -> Result<String, TraceIoError> {
-    let len = u32::from_le_bytes(get_array(r, "string length")?) as usize;
-    let raw = r
-        .take(len, "string payload")
-        .map_err(|_| TraceIoError::Corrupt("truncated string payload".into()))?;
-    String::from_utf8(raw.to_vec())
-        .map_err(|e| TraceIoError::Corrupt(format!("invalid utf-8 string: {e}")))
-}
-
-/// Reads one channel: a `u32` sample count, then that many fixed-size
-/// samples. The count is checked against the bytes left before anything
-/// is allocated, so a hostile count is corrupt framing, not an OOM.
-fn get_channel<S>(
-    r: &mut Reader<'_>,
-    what: &'static str,
-    sample_len: usize,
-    mut sample: impl FnMut(&mut Reader<'_>) -> Result<S, TraceIoError>,
-) -> Result<Vec<S>, TraceIoError> {
-    let n = u32::from_le_bytes(get_array(r, what)?) as usize;
-    if n > r.remaining() / sample_len {
-        return Err(TraceIoError::Corrupt(format!(
-            "{what} {n} exceeds what {} remaining bytes could hold",
-            r.remaining()
-        )));
-    }
-    (0..n).map(|_| sample(r)).collect()
-}
-
-fn corrupt(e: impl fmt::Display) -> TraceIoError {
-    TraceIoError::Corrupt(e.to_string())
-}
-
-fn encode_binary(session: &SessionTrace) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(BINARY_MAGIC);
-    out.push(BINARY_VERSION);
-
-    let meta = session.meta();
-    put_string(&mut out, &meta.name);
-    put_f64(&mut out, meta.video_length.value());
-    put_f64(&mut out, meta.data_size.value());
-    put_f64(&mut out, meta.avg_vibration.value());
-    put_string(&mut out, &meta.description);
-    match meta.seed {
-        Some(seed) => {
-            out.push(1);
-            out.extend_from_slice(&seed.to_le_bytes());
-        }
-        None => out.push(0),
-    }
-
-    out.extend_from_slice(&(session.network().len() as u32).to_le_bytes());
-    for s in session.network().iter() {
-        put_f64(&mut out, s.time.value());
-        put_f64(&mut out, s.throughput.value());
-    }
-    out.extend_from_slice(&(session.signal().len() as u32).to_le_bytes());
-    for s in session.signal().iter() {
-        put_f64(&mut out, s.time.value());
-        put_f64(&mut out, s.dbm.value());
-    }
-    out.extend_from_slice(&(session.accel().len() as u32).to_le_bytes());
-    for s in session.accel().iter() {
-        put_f64(&mut out, s.time.value());
-        put_f64(&mut out, s.x);
-        put_f64(&mut out, s.y);
-        put_f64(&mut out, s.z);
-    }
-    out
-}
-
-fn decode_binary(data: &[u8]) -> Result<SessionTrace, TraceIoError> {
-    if data.len() < 5 {
-        return Err(TraceIoError::Corrupt("payload shorter than header".into()));
-    }
-    let mut r = Reader::new(data);
-    let magic: [u8; 4] = get_array(&mut r, "magic")?;
-    if &magic != BINARY_MAGIC {
-        return Err(TraceIoError::Corrupt(format!(
-            "bad magic {magic:?}, want {BINARY_MAGIC:?}"
-        )));
-    }
-    let [version] = get_array(&mut r, "version")?;
-    if version != BINARY_VERSION {
-        return Err(TraceIoError::Corrupt(format!(
-            "unsupported version {version}, want {BINARY_VERSION}"
-        )));
-    }
-
-    let name = get_string(&mut r)?;
-    let video_length = Seconds::try_new(get_f64(&mut r, "video length")?).map_err(corrupt)?;
-    let data_size = MegaBytes::try_new(get_f64(&mut r, "data size")?).map_err(corrupt)?;
-    let avg_vibration =
-        MetersPerSec2::try_new(get_f64(&mut r, "avg vibration")?).map_err(corrupt)?;
-    let description = get_string(&mut r)?;
-    let seed = match get_array(&mut r, "seed flag")? {
-        [0] => None,
-        [1] => Some(u64::from_le_bytes(get_array(&mut r, "seed")?)),
-        [other] => return Err(TraceIoError::Corrupt(format!("invalid seed flag {other}"))),
-    };
-
-    let meta = TraceMeta {
-        name,
-        video_length,
-        data_size,
-        avg_vibration,
-        description,
-        seed,
-    };
-
-    let network = get_channel(&mut r, "network count", 16, |r| {
-        let t = Seconds::try_new(get_f64(r, "network time")?).map_err(corrupt)?;
-        let thr = Mbps::try_new(get_f64(r, "throughput")?).map_err(corrupt)?;
-        Ok(NetworkSample::new(t, thr))
-    })?;
-    let signal = get_channel(&mut r, "signal count", 16, |r| {
-        let t = Seconds::try_new(get_f64(r, "signal time")?).map_err(corrupt)?;
-        let dbm = Dbm::try_new(get_f64(r, "signal dbm")?).map_err(corrupt)?;
-        Ok(SignalSample::new(t, dbm))
-    })?;
-    let accel = get_channel(&mut r, "accel count", 32, |r| {
-        let t = Seconds::try_new(get_f64(r, "accel time")?).map_err(corrupt)?;
-        let x = get_f64(r, "accel x")?;
-        let y = get_f64(r, "accel y")?;
-        let z = get_f64(r, "accel z")?;
-        if x.is_nan() || y.is_nan() || z.is_nan() {
-            return Err(TraceIoError::Corrupt("NaN accelerometer axis".into()));
-        }
-        Ok(AccelSample::new(t, x, y, z))
-    })?;
-    if !r.is_empty() {
-        return Err(TraceIoError::Corrupt(format!(
-            "{} trailing bytes after the accel channel",
-            r.remaining()
-        )));
-    }
-
-    let network = TimeSeries::new(network).map_err(corrupt)?;
-    let signal = TimeSeries::new(signal).map_err(corrupt)?;
-    let accel = TimeSeries::new(accel).map_err(corrupt)?;
-    SessionTrace::new(meta, network, signal, accel).map_err(corrupt)
-}
-
 #[cfg(test)]
 // Tests assert exact fixture values; clippy::float_cmp guards library code.
 #[allow(clippy::float_cmp)]
@@ -543,19 +312,9 @@ mod tests {
     fn json_roundtrip() {
         let s = session();
         let mut buf = Vec::new();
-        s.write_to(&mut buf, TraceFormat::Json).unwrap();
-        let back = SessionTrace::read_from(buf.as_slice(), TraceFormat::Json).unwrap();
+        s.write_to(&mut buf).unwrap();
+        let back = SessionTrace::read_from(buf.as_slice()).unwrap();
         assert_eq!(s, back);
-    }
-
-    #[test]
-    fn format_from_path_autodetects() {
-        assert_eq!(TraceFormat::from_path("a/b/trace.bin"), TraceFormat::Binary);
-        assert_eq!(TraceFormat::from_path("trace.json"), TraceFormat::Json);
-        assert_eq!(TraceFormat::from_path("trace.csv"), TraceFormat::Json);
-        assert_eq!(TraceFormat::from_path("trace"), TraceFormat::Json);
-        assert_eq!(TraceFormat::Binary.label(), "binary");
-        assert_eq!(TraceFormat::Json.to_string(), "json");
     }
 
     #[test]
@@ -563,16 +322,18 @@ mod tests {
         let s = session();
         let dir = std::env::temp_dir().join(format!("ecas-io-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for name in ["trace.json", "trace.bin"] {
+        // The whole trace as JSON, whatever the extension …
+        for name in ["trace.json", "trace"] {
             let path = dir.join(name);
             s.save(&path).unwrap();
             let back = SessionTrace::load(&path).unwrap();
             assert_eq!(s, back, "{name} did not roundtrip");
         }
-        // The two encodings really differ on disk.
-        let json_len = std::fs::metadata(dir.join("trace.json")).unwrap().len();
-        let bin_len = std::fs::metadata(dir.join("trace.bin")).unwrap().len();
-        assert!(bin_len * 2 < json_len);
+        // … and a channel as a CSV file.
+        let path = dir.join("accel.csv");
+        write_csv(File::create(&path).unwrap(), s.accel()).unwrap();
+        let back: TimeSeries<AccelSample> = read_csv(File::open(&path).unwrap()).unwrap();
+        assert_eq!(s.accel(), &back);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -611,100 +372,6 @@ mod tests {
 
         let wrong_arity = "time_s,throughput_mbps\n1\n";
         assert!(read_csv::<_, NetworkSample>(wrong_arity.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let s = session();
-        let mut bytes = Vec::new();
-        s.write_to(&mut bytes, TraceFormat::Binary).unwrap();
-        let back = SessionTrace::read_from(bytes.as_slice(), TraceFormat::Binary).unwrap();
-        assert_eq!(s, back);
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic_and_version() {
-        let s = session();
-        let mut bytes = Vec::new();
-        s.write_to(&mut bytes, TraceFormat::Binary).unwrap();
-
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(SessionTrace::read_from(bad.as_slice(), TraceFormat::Binary).is_err());
-
-        let mut bad = bytes.clone();
-        bad[4] = 200;
-        assert!(SessionTrace::read_from(bad.as_slice(), TraceFormat::Binary).is_err());
-    }
-
-    #[test]
-    fn binary_rejects_truncation_everywhere() {
-        let s = session();
-        let mut bytes = Vec::new();
-        s.write_to(&mut bytes, TraceFormat::Binary).unwrap();
-        // Chop the payload at several points; every prefix must fail
-        // cleanly rather than panic.
-        for cut in [0, 3, 5, 9, 20, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                SessionTrace::read_from(&bytes[..cut], TraceFormat::Binary).is_err(),
-                "prefix of {cut} bytes decoded successfully"
-            );
-        }
-    }
-
-    #[test]
-    fn binary_format_is_pinned() {
-        // The `.bin` layout is an on-disk contract: files written by any
-        // earlier build must keep loading. Any codec rewrite has to
-        // reproduce these exact bytes.
-        let mut bytes = Vec::new();
-        session().write_to(&mut bytes, TraceFormat::Binary).unwrap();
-        assert_eq!(bytes.len(), 19_713);
-        assert_eq!(ecas_obs::fnv1a_64(&bytes), 0xa528_0c2a_f740_95e9);
-    }
-
-    #[test]
-    fn binary_rejects_hostile_count_without_allocating() {
-        // A valid header (empty name and description, no seed), then a
-        // network count of 2^32 - 1 with no samples behind it.
-        let mut bytes = b"ECAS\x01".to_vec();
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        for v in [12.0f64, 1.0, 0.5] {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = SessionTrace::read_from(bytes.as_slice(), TraceFormat::Binary).unwrap_err();
-        assert!(
-            matches!(&err, TraceIoError::Corrupt(msg) if msg.contains("network count")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn binary_rejects_trailing_bytes() {
-        let mut bytes = Vec::new();
-        session().write_to(&mut bytes, TraceFormat::Binary).unwrap();
-        bytes.push(0);
-        let err = SessionTrace::read_from(bytes.as_slice(), TraceFormat::Binary).unwrap_err();
-        assert!(
-            matches!(&err, TraceIoError::Corrupt(msg) if msg.contains("trailing")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn binary_is_much_smaller_than_json() {
-        let s = session();
-        let mut json = Vec::new();
-        s.write_to(&mut json, TraceFormat::Json).unwrap();
-        let mut bin = Vec::new();
-        s.write_to(&mut bin, TraceFormat::Binary).unwrap();
-        assert!(
-            bin.len() * 2 < json.len(),
-            "binary should be < half of JSON"
-        );
     }
 }
 

@@ -41,11 +41,11 @@ pub mod vbr;
 pub mod videos;
 
 pub use analysis::{ChannelStats, SessionStats};
-pub use io::{TraceFormat, TraceIoError};
+pub use io::TraceIoError;
 pub use mpd::Manifest;
 pub use record::{RecordContainer, RecordError};
 pub use population::{
-    BatteryState, DiurnalProfile, FleetContext, FleetMix, PopulationSpec, SessionBatch, SignalTier,
+    BatteryState, DiurnalProfile, FleetContext, FleetMix, PopulationSpec, SignalTier,
     UserSpec,
 };
 pub use sample::{AccelSample, NetworkSample, PowerSample, SignalSample};

@@ -16,10 +16,7 @@
 //!   independently, in any order, without materializing O(fleet) state;
 //! * [`UserSpec::synthesize`] — per-user session synthesis on top of
 //!   [`SessionGenerator`], with the user's [`SignalTier`] applied as a
-//!   cell-center/cell-edge rescaling of the link channels;
-//! * [`SessionBatch`] — a reusable batch buffer whose spine vectors are
-//!   allocated once and refilled, so steady-state fleet streaming does
-//!   not grow allocations with fleet size.
+//!   cell-center/cell-edge rescaling of the link channels.
 //!
 //! Everything is deterministic given the fleet seed; no wall clock, no
 //! global RNG.
@@ -583,69 +580,6 @@ fn apply_signal_tier(session: SessionTrace, tier: SignalTier) -> SessionTrace {
     SessionTrace::new(meta, network, signal, accel).expect("rescaled session stays valid")
 }
 
-// --------------------------------------------------------- batch buffer
-
-/// A reusable buffer for one batch of synthesized users.
-///
-/// The spine vectors (specs and sessions) are allocated once and
-/// refilled in place, so a fleet run that streams millions of users in
-/// fixed-size batches performs no per-batch spine allocation and its
-/// peak trace memory is O(batch), independent of fleet size.
-#[derive(Debug, Default)]
-pub struct SessionBatch {
-    specs: Vec<UserSpec>,
-    sessions: Vec<SessionTrace>,
-}
-
-impl SessionBatch {
-    /// Creates a buffer with spine capacity for `capacity` users.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            specs: Vec::with_capacity(capacity),
-            sessions: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Clears the buffer and synthesizes users `start .. start + len`
-    /// of `spec` into it (`len` is clamped to the fleet end).
-    pub fn refill(&mut self, spec: &PopulationSpec, start: u64, len: usize) {
-        self.specs.clear();
-        self.sessions.clear();
-        let end = spec.users().min(start.saturating_add(len as u64));
-        for i in start..end {
-            let user = spec.user(i);
-            self.sessions.push(user.synthesize());
-            self.specs.push(user);
-        }
-    }
-
-    /// The user specs of the current batch.
-    #[must_use]
-    pub fn specs(&self) -> &[UserSpec] {
-        &self.specs
-    }
-
-    /// The synthesized sessions of the current batch, index-aligned
-    /// with [`SessionBatch::specs`].
-    #[must_use]
-    pub fn sessions(&self) -> &[SessionTrace] {
-        &self.sessions
-    }
-
-    /// Number of users in the current batch.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether the current batch is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -765,23 +699,5 @@ mod tests {
         assert!(FleetMix::new([0.0; 4], [1.0; 3], [1.0; 3]).is_err());
         assert!(FleetMix::new([1.0, 1.0, 1.0, -0.1], [1.0; 3], [1.0; 3]).is_err());
         assert!(FleetMix::new([1.0; 4], [f64::NAN, 1.0, 1.0], [1.0; 3]).is_err());
-    }
-
-    #[test]
-    fn batch_refill_reuses_spines_and_clamps_at_fleet_end() {
-        let spec = PopulationSpec::new(10, 5).mean_duration(Seconds::new(20.0));
-        let mut batch = SessionBatch::with_capacity(4);
-        batch.refill(&spec, 0, 4);
-        assert_eq!(batch.len(), 4);
-        let spine = batch.sessions.capacity();
-        batch.refill(&spec, 4, 4);
-        assert_eq!(batch.len(), 4);
-        assert_eq!(batch.sessions.capacity(), spine, "spine must be reused");
-        batch.refill(&spec, 8, 4);
-        assert_eq!(batch.len(), 2, "final batch clamps to the fleet end");
-        assert_eq!(batch.specs()[0].index, 8);
-        assert_eq!(batch.sessions()[0].meta().name, "u8");
-        batch.refill(&spec, 12, 4);
-        assert!(batch.is_empty());
     }
 }

@@ -1,11 +1,10 @@
 //! Property-based tests for time-series invariants and trace codecs.
 
-use ecas_trace::io::{read_csv, write_csv, TraceFormat};
+use ecas_trace::io::{read_csv, write_csv};
 use ecas_trace::record::{RecordContainer, RecordError};
 use ecas_trace::sample::NetworkSample;
 use ecas_trace::series::TimeSeries;
-use ecas_trace::session::SessionTrace;
-use ecas_trace::synth::context::{Context, ContextSchedule};
+use ecas_trace::synth::context::ContextSchedule;
 use ecas_trace::synth::SessionGenerator;
 use ecas_types::units::{Mbps, Seconds};
 use proptest::prelude::*;
@@ -76,21 +75,6 @@ proptest! {
         write_csv(&mut buf, &series).unwrap();
         let back: TimeSeries<NetworkSample> = read_csv(buf.as_slice()).unwrap();
         prop_assert_eq!(series, back);
-    }
-
-    #[test]
-    fn binary_roundtrip_generated_sessions(seed in 0u64..200, secs in 5.0f64..40.0) {
-        let session = SessionGenerator::new(
-            "prop",
-            ContextSchedule::constant(Context::MovingVehicle),
-            Seconds::new(secs),
-            seed,
-        )
-        .generate();
-        let mut bytes = Vec::new();
-        session.write_to(&mut bytes, TraceFormat::Binary).unwrap();
-        let back = SessionTrace::read_from(bytes.as_slice(), TraceFormat::Binary).unwrap();
-        prop_assert_eq!(session, back);
     }
 
     #[test]

@@ -144,6 +144,27 @@ if ! grep -Eq 'users=100000 ' "$obs_dir/fleet_1.txt"; then
     exit 1
 fi
 
+echo "==> smoke: fleet warm cache (cold == warm == warm --jobs 1, 100% hits)"
+fleet_cache="$obs_dir/fleet_cache"
+./target/release/fleet --smoke --users 2000 --cache-dir "$fleet_cache" \
+    > "$obs_dir/fleet_cold.txt" 2> "$obs_dir/fleet_cold.log"
+./target/release/fleet --smoke --users 2000 --cache-dir "$fleet_cache" \
+    > "$obs_dir/fleet_warm.txt" 2> "$obs_dir/fleet_warm.log"
+./target/release/fleet --smoke --users 2000 --cache-dir "$fleet_cache" --jobs 1 \
+    > "$obs_dir/fleet_warm_seq.txt" 2> "$obs_dir/fleet_warm_seq.log"
+for warm in fleet_warm fleet_warm_seq; do
+    if ! cmp -s "$obs_dir/fleet_cold.txt" "$obs_dir/$warm.txt"; then
+        echo "$warm fleet output differs from the cold run" >&2
+        diff "$obs_dir/fleet_cold.txt" "$obs_dir/$warm.txt" >&2 || true
+        exit 1
+    fi
+    if ! grep -q 'cache: hits=2000 misses=0 corrupt=0' "$obs_dir/$warm.log"; then
+        echo "$warm fleet run was not served 100% from the cache" >&2
+        cat "$obs_dir/$warm.log" >&2
+        exit 1
+    fi
+done
+
 echo "==> smoke: record corpus (batch-record + order-stable verify + self-diff)"
 corpus_dir="$obs_dir/corpus"
 ./target/release/session batch-record --users 6 --seed 7 --duration 20 --batch 4 "$corpus_dir" >/dev/null

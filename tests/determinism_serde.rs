@@ -1,6 +1,6 @@
 //! Determinism and serialization guarantees across the whole stack.
 
-use ecas::trace::io::TraceFormat;
+use ecas::trace::io::{read_csv, write_csv};
 use ecas::trace::videos::EvalTraceSpec;
 use ecas::trace::SessionTrace;
 use ecas::{Approach, ExecPolicy, ExperimentRunner};
@@ -49,19 +49,22 @@ fn comparison_summary_serde_roundtrip() {
 fn traces_roundtrip_through_both_codecs() {
     let session = EvalTraceSpec::table_v()[1].generate();
 
+    // The whole bundle through JSON …
     let mut json_buf = Vec::new();
-    session.write_to(&mut json_buf, TraceFormat::Json).unwrap();
-    assert_eq!(
-        session,
-        SessionTrace::read_from(json_buf.as_slice(), TraceFormat::Json).unwrap()
-    );
+    session.write_to(&mut json_buf).unwrap();
+    let back = SessionTrace::read_from(json_buf.as_slice()).unwrap();
+    assert_eq!(session, back);
 
-    let mut bin = Vec::new();
-    session.write_to(&mut bin, TraceFormat::Binary).unwrap();
-    assert_eq!(
-        session,
-        SessionTrace::read_from(bin.as_slice(), TraceFormat::Binary).unwrap()
-    );
+    // … and each channel through CSV.
+    let mut csv = Vec::new();
+    write_csv(&mut csv, session.network()).unwrap();
+    assert_eq!(session.network(), &read_csv(csv.as_slice()).unwrap());
+    let mut csv = Vec::new();
+    write_csv(&mut csv, session.signal()).unwrap();
+    assert_eq!(session.signal(), &read_csv(csv.as_slice()).unwrap());
+    let mut csv = Vec::new();
+    write_csv(&mut csv, session.accel()).unwrap();
+    assert_eq!(session.accel(), &read_csv(csv.as_slice()).unwrap());
 }
 
 #[test]
